@@ -1,12 +1,23 @@
 GO ?= go
 
-.PHONY: build vet lint test race check obs-smoke chaos-smoke burst-smoke alloc-regression perf-regression
+.PHONY: build vet fmt lint test race check obs-smoke chaos-smoke burst-smoke alloc-regression perf-regression perfbench-build
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Fails listing every tracked Go file gofmt would rewrite.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# perfbench is a module of its own (replace helios => ../), so the root
+# build never compiles it; vet and build it here so an internal API change
+# that breaks the benchmark fails the gate.
+perfbench-build:
+	cd perfbench && $(GO) vet . && $(GO) build -o /dev/null .
 
 # Project-specific static analysis (see DESIGN.md "Static analysis &
 # concurrency invariants"). Exits non-zero on any unsuppressed finding.
@@ -50,7 +61,7 @@ perf-regression:
 	bash scripts/perf-regression.sh
 
 # The tier-1 gate: every PR must leave this green.
-check:
+check: fmt perfbench-build
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) run ./cmd/helios-lint ./...

@@ -65,6 +65,14 @@ const coalesceConfig = `{
 // behind a real RPC listener, and a frontend pointed at it.
 func newCoalesceFrontend(t *testing.T) *Frontend {
 	t.Helper()
+	fe, _ := newCoalesceDeployment(t)
+	return fe
+}
+
+// newCoalesceDeployment is newCoalesceFrontend that also returns the
+// broker, for tests that feed the serving worker directly.
+func newCoalesceDeployment(t *testing.T) (*Frontend, *mq.Broker) {
+	t.Helper()
 	cfg, err := deploy.Parse([]byte(coalesceConfig))
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +97,7 @@ func newCoalesceFrontend(t *testing.T) *Frontend {
 		t.Fatal(err)
 	}
 	t.Cleanup(fe.Close)
-	return fe
+	return fe, broker
 }
 
 // sampleCalls reads the lone replica client's issued-call counter — the

@@ -5,9 +5,11 @@
 package frontend
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -466,7 +468,19 @@ func (f *Frontend) IngestTraced(u graph.Update) (uint64, error) {
 	return u.Trace, f.Ingest(u)
 }
 
+// ErrNonFiniteFeature rejects a vertex update whose feature holds NaN or
+// ±Inf: JSON cannot encode such a value, so once cached it would break
+// every answer that reaches the vertex. The HTTP gateway maps it to 400.
+var ErrNonFiniteFeature = errors.New("frontend: non-finite feature value")
+
 func (f *Frontend) route(u graph.Update) error {
+	if u.Kind == graph.UpdateVertex {
+		for _, x := range u.Vertex.Feature {
+			if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
+				return fmt.Errorf("%w in vertex %d", ErrNonFiniteFeature, u.Vertex.ID)
+			}
+		}
+	}
 	payload := codec.EncodeUpdate(u)
 	switch u.Kind {
 	case graph.UpdateVertex:
@@ -670,11 +684,14 @@ type edgeOutJSON struct {
 	Ts     int64  `json:"ts"`
 }
 
-// httpStatus maps routing errors onto gateway statuses: 503 for a shed
-// (the deployment is healthy, just full — retry with backoff), 504 for an
-// exhausted deadline budget, 500 otherwise.
+// httpStatus maps routing errors onto gateway statuses: 400 for a
+// rejected update, 503 for a shed (the deployment is healthy, just full —
+// retry with backoff), 504 for an exhausted deadline budget, 500
+// otherwise.
 func httpStatus(err error) int {
 	switch {
+	case errors.Is(err, ErrNonFiniteFeature):
+		return http.StatusBadRequest
 	case overload.IsDeadline(err):
 		return http.StatusGatewayTimeout
 	case overload.IsOverload(err):
@@ -683,6 +700,9 @@ func httpStatus(err error) int {
 		return http.StatusInternalServerError
 	}
 }
+
+// respBufs recycles the GET /sample answer buffers.
+var respBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // Handler returns the HTTP mux: POST /ingest/edge, POST /ingest/vertex,
 // GET /sample?q=<id>&seed=<vertex>, GET /healthz.
@@ -767,8 +787,18 @@ func (f *Frontend) Handler() http.Handler {
 		for v, feat := range res.Features {
 			out.Features[strconv.FormatUint(uint64(v), 10)] = feat
 		}
+		// Encode before writing the header, so a failure is a 500 rather
+		// than an empty 200.
+		buf := respBufs.Get().(*bytes.Buffer)
+		defer respBufs.Put(buf)
+		buf.Reset()
+		if err := json.NewEncoder(buf).Encode(out); err != nil {
+			http.Error(w, "encode answer: "+err.Error(), http.StatusInternalServerError)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(out)
+		//lint:allow droppederror reason=a failed body write means the client went away; there is no one left to answer
+		_, _ = w.Write(buf.Bytes())
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "ok requests=%d updates=%d\n", f.Requests.Value(), f.Updates.Value())

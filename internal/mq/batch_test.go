@@ -68,9 +68,9 @@ func TestAppendBatchEmpty(t *testing.T) {
 }
 
 // TestAppendBatchRemote drives the batch through the RPC framing: one
-// frame in, contiguous offsets out, values copied out of the frame
-// buffer (the local broker takes ownership, so the remote handler must
-// copy before the frame buffer is recycled).
+// frame in, contiguous offsets out, values read back intact after the
+// frame buffer is recycled (the partition copies every value into its
+// record log).
 func TestAppendBatchRemote(t *testing.T) {
 	local, rb, done := startRemote(t)
 	defer done()
@@ -145,4 +145,3 @@ func TestAppendBatchBrokerBound(t *testing.T) {
 		t.Fatalf("refused batch left partial records: next=%d", lt.NextOffset(0))
 	}
 }
-

@@ -350,6 +350,8 @@ func (t *Topic) Name() string { return t.name }
 func (t *Topic) NumPartitions() int { return len(t.parts) }
 
 // Append appends value to an explicit partition and returns its offset.
+// The broker copies value into the partition's record log; the caller may
+// reuse its buffer once Append returns.
 func (t *Topic) Append(partitionIdx int, key uint64, value []byte) (int64, error) {
 	if partitionIdx < 0 || partitionIdx >= len(t.parts) {
 		return 0, fmt.Errorf("mq: partition %d out of range for topic %q", partitionIdx, t.name)
@@ -390,8 +392,9 @@ func (t *Topic) Append(partitionIdx int, key uint64, value []byte) (int64, error
 }
 
 // BatchRecord is one (key, value) pair of an AppendBatch call. The broker
-// takes ownership of Value, exactly as Append does; the containing slice
-// stays the caller's and may be reused after the call returns.
+// copies Value into its record log, exactly as Append does, so both the
+// containing slice and every Value buffer stay the caller's and may be
+// reused after the call returns.
 type BatchRecord struct {
 	Key   uint64
 	Value []byte

@@ -8,8 +8,9 @@ import (
 	"helios/internal/faultpoint"
 )
 
-// partition is one append-only, strictly ordered log. Records are held in a
-// ring-ish slice window [head, next); retention truncates from the front.
+// partition is one append-only, strictly ordered log. The retained window
+// [head, next) lives in a chunked record log; retention drops from the
+// front.
 type partition struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -17,9 +18,9 @@ type partition struct {
 	idx    int
 	broker *Broker
 
-	records []Record // records[i] has offset head+i
-	head    int64    // offset of records[0]
-	next    int64    // offset of the next append
+	log  recordLog // log record i has offset head+i
+	head int64     // offset of the first retained record
+	next int64     // offset of the next append
 	// committed is the highest offset a consumer has reported back via
 	// Commit (Kafka convention: one past the last processed record), or -1
 	// while no consumer has ever committed. Broker-side lag — the basis for
@@ -63,7 +64,7 @@ func (p *partition) append(key uint64, value []byte) (int64, error) {
 			}
 		}
 	}
-	p.records = append(p.records, rec)
+	p.log.add(key, rec.Ts, value)
 	p.next++
 	p.trimLocked()
 	p.cond.Broadcast()
@@ -98,7 +99,7 @@ func (p *partition) appendBatch(recs []BatchRecord) (int64, error) {
 		}
 	}
 	for _, br := range recs {
-		p.records = append(p.records, Record{Offset: p.next, Key: br.Key, Value: br.Value, Ts: now})
+		p.log.add(br.Key, now, br.Value)
 		p.next++
 	}
 	p.trimLocked()
@@ -132,7 +133,7 @@ func (p *partition) appendAt(first int64, recs []Record) (int64, int, error) {
 			continue // trimmed past: nothing retained to verify against
 		}
 		if rec.Offset < p.next {
-			have := &p.records[int(rec.Offset-p.head)]
+			have := p.log.at(int(rec.Offset - p.head))
 			if have.Key == rec.Key && have.Ts == rec.Ts && bytes.Equal(have.Value, rec.Value) {
 				continue
 			}
@@ -142,7 +143,7 @@ func (p *partition) appendAt(first int64, recs []Record) (int64, int, error) {
 			// watermark with it) and append the authoritative records; the
 			// rewound segment frames are reconciled by replay's rewind
 			// handling, same as a demotion's.
-			p.records = p.records[:int(rec.Offset-p.head)]
+			p.log.truncate(int(rec.Offset - p.head))
 			p.next = rec.Offset
 			if p.hw > p.next {
 				p.hw = p.next
@@ -153,7 +154,7 @@ func (p *partition) appendAt(first int64, recs []Record) (int64, int, error) {
 				return p.next, applied, err
 			}
 		}
-		p.records = append(p.records, rec)
+		p.log.add(rec.Key, rec.Ts, rec.Value)
 		p.next++
 		applied++
 	}
@@ -171,15 +172,13 @@ func (p *partition) appendAt(first int64, recs []Record) (int64, int, error) {
 
 // trimLocked applies the retention bound. Caller holds p.mu.
 func (p *partition) trimLocked() {
-	if retain := p.broker.opts.RetainRecords; retain > 0 && len(p.records) > 2*retain {
+	if retain := p.broker.opts.RetainRecords; retain > 0 && p.log.len() > 2*retain {
 		// Amortized trim: let the window grow to 2× the retention bound,
-		// then copy the newest `retain` records into a fresh slice (so the
-		// old backing array stops pinning dropped payloads). This keeps
-		// append O(1) amortized instead of O(retain) per append.
-		drop := len(p.records) - retain
-		kept := make([]Record, retain)
-		copy(kept, p.records[drop:])
-		p.records = kept
+		// then keep the newest `retain` records, releasing every chunk
+		// below them. This keeps append O(1) amortized instead of
+		// O(retain) per append.
+		drop := p.log.len() - retain
+		p.log.dropFront(drop)
 		p.head += int64(drop)
 	}
 }
@@ -187,7 +186,7 @@ func (p *partition) trimLocked() {
 // readRange returns the retained records in [from, to) for replication
 // catch-up. The second result is false when `from` has been trimmed past —
 // the follower is too far behind the retained window to heal by resend.
-// The returned slice aliases immutable records and is read-only.
+// The returned Values alias immutable chunk bytes and are read-only.
 func (p *partition) readRange(from, to int64) ([]Record, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -200,9 +199,7 @@ func (p *partition) readRange(from, to int64) ([]Record, bool) {
 	if from >= to {
 		return nil, true
 	}
-	start := int(from - p.head)
-	end := int(to - p.head)
-	return p.records[start:end:end], true
+	return p.log.read(int(from-p.head), int(to-p.head), from), true
 }
 
 // reportOffset is the offset this replica advertises in its
@@ -265,15 +262,15 @@ func (p *partition) demote() {
 	if cut < p.head {
 		cut = p.head
 	}
-	p.records = p.records[:int(cut-p.head)]
+	p.log.truncate(int(cut - p.head))
 	p.next = cut
 }
 
 // fetch returns up to max records starting at offset, blocking up to wait
 // for data. A fetch below the retained head snaps forward to the head; on
 // a replicated broker delivery stops at the high watermark. The returned
-// records alias the partition's retained window and must be treated as
-// read-only.
+// Values alias the partition's chunk bytes and must be treated as
+// read-only; they are never rewritten, so they stay valid indefinitely.
 func (p *partition) fetch(offset int64, max int, wait time.Duration) ([]Record, int64, error) {
 	if err := faultpoint.Inject("mq.fetch"); err != nil {
 		return nil, offset, err
@@ -298,7 +295,7 @@ func (p *partition) fetch(offset int64, max int, wait time.Duration) ([]Record, 
 			if lim := int(limit - p.head); end > lim {
 				end = lim
 			}
-			out := p.records[start:end:end]
+			out := p.log.read(start, end, offset)
 			p.broker.Fetched.Add(int64(len(out)))
 			return out, offset + int64(len(out)), nil
 		}

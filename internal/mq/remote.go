@@ -59,9 +59,9 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 		if !ok {
 			return nil, fmt.Errorf("mq: unknown topic %q", name)
 		}
-		v := make([]byte, len(val))
-		copy(v, val)
-		off, err := t.Append(part, key, v)
+		// The partition copies val into its record log, so the frame
+		// buffer is free to be reused once Append returns.
+		off, err := t.Append(part, key, val)
 		if err != nil {
 			return nil, err
 		}
@@ -90,10 +90,7 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 		recs := make([]BatchRecord, 0, n)
 		for i := 0; i < n; i++ {
 			key := r.Uvarint()
-			val := r.Bytes32()
-			v := make([]byte, len(val))
-			copy(v, val)
-			recs = append(recs, BatchRecord{Key: key, Value: v})
+			recs = append(recs, BatchRecord{Key: key, Value: r.Bytes32()})
 		}
 		if err := r.Finish(); err != nil {
 			return nil, err

@@ -528,10 +528,7 @@ func ServeReplication(b *Broker, srv *rpc.Server) {
 		recs := make([]Record, 0, n)
 		for i := 0; i < n; i++ {
 			rec := Record{Offset: first + int64(i), Key: r.Uvarint(), Ts: r.Varint()}
-			val := r.Bytes32()
-			v := make([]byte, len(val))
-			copy(v, val)
-			rec.Value = v
+			rec.Value = r.Bytes32() // appendAt copies into the record log
 			recs = append(recs, rec)
 		}
 		if err := r.Finish(); err != nil {

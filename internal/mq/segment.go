@@ -52,9 +52,9 @@ func (p *partition) openSegment(dir string) error {
 	return nil
 }
 
-// replay loads framed records from data, tolerating a truncated tail (a
-// crash mid-append loses at most the partial record, like Kafka's log
-// recovery) and offset rewinds: a frame whose offset is at or below an
+// replay loads framed records from data straight into the record log's
+// chunks, tolerating a truncated tail (a crash mid-append loses at most the
+// partial record, like Kafka's log recovery) and offset rewinds: a frame whose offset is at or below an
 // already-replayed one supersedes everything from that offset on. Rewinds
 // appear when a failed append or batch was retried (the orphaned first
 // attempt never became visible), and when a demoted leader's abandoned
@@ -62,7 +62,8 @@ func (p *partition) openSegment(dir string) error {
 // later bytes are the authoritative log.
 func (p *partition) replay(data []byte) error {
 	rd := codec.NewReader(data)
-	var recs []Record
+	var log recordLog
+	var head int64
 	for rd.Remaining() > 0 {
 		offv := rd.Uvarint()
 		key := rd.Uvarint()
@@ -72,23 +73,24 @@ func (p *partition) replay(data []byte) error {
 			break // truncated tail
 		}
 		off := int64(offv)
-		if n := len(recs); n > 0 && off <= recs[n-1].Offset {
-			if off < recs[0].Offset {
-				recs = recs[:0]
+		if n := log.len(); n > 0 && off < head+int64(n) {
+			if off < head {
+				log = recordLog{}
 			} else {
-				recs = recs[:int(off-recs[0].Offset)]
+				log.truncate(int(off - head))
 			}
 		}
-		v := make([]byte, len(val))
-		copy(v, val)
-		recs = append(recs, Record{Offset: off, Key: key, Value: v, Ts: ts})
+		if log.len() == 0 {
+			head = off
+		}
+		log.add(key, ts, val)
 	}
-	if len(recs) == 0 {
+	if log.len() == 0 {
 		return nil
 	}
-	p.records = recs
-	p.head = recs[0].Offset
-	p.next = recs[len(recs)-1].Offset + 1
+	p.log = log
+	p.head = head
+	p.next = head + int64(log.len())
 	return nil
 }
 

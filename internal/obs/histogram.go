@@ -24,7 +24,7 @@ type Histogram struct {
 	base metrics.Histogram
 	// clk stamps exemplars and SLO windows. Stored via atomic.Value so
 	// WithClock can race a concurrent Observe (registries are shared).
-	clk       atomic.Value // clock.Clock
+	clk       atomic.Value           // clock.Clock
 	slos      atomic.Pointer[[]*SLO] // copy-on-attach
 	exemplars [metrics.NumBuckets]atomic.Pointer[exemplarRec]
 }

@@ -538,7 +538,7 @@ var (
 	errBadMethodLen  = errors.New("rpc: bad method length")
 )
 
-func frameTooBig(n int) error  { return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n) }
+func frameTooBig(n int) error    { return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n) }
 func badFrameLen(n uint32) error { return fmt.Errorf("rpc: bad frame length %d", n) }
 
 // Options configures a client built by DialOpts. The zero value reproduces

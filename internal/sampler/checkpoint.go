@@ -23,8 +23,20 @@ import (
 const checkpointMagic = "HELIOS-SAW-v1"
 
 // Checkpoint writes the worker state to w. The worker must be started.
+//
+// Two barriers ride the FIFO actor mailboxes. A snapshot event per shard
+// captures its state after every event enqueued before it; then a barrier
+// per publish actor flushes its batch buffers and acks. Every publish the
+// snapshotted events caused was enqueued before its shard acked, so once
+// the publish barriers ack, those messages are on their topics: a crash
+// right after Checkpoint never restores state whose messages serving has
+// not received. lifeMu covers only the sends, so Stop cannot close a pool
+// mid-send; a racing Stop drains queued barriers (and flushes the publish
+// buffers itself) before the actors exit, so every ack still arrives.
 func (w *Worker) Checkpoint(out io.Writer) error {
+	w.lifeMu.Lock()
 	if !w.started.Load() {
+		w.lifeMu.Unlock()
 		return fmt.Errorf("sampler: checkpoint requires a started worker")
 	}
 	cw := codec.NewWriter(1 << 16)
@@ -35,11 +47,28 @@ func (w *Worker) Checkpoint(out io.Writer) error {
 	cw.Varint(w.updOffset.Load())
 	cw.Varint(w.subsOffset.Load())
 	cw.Uvarint(uint64(len(w.shards)))
-	for i := range w.shards {
-		ch := make(chan []byte, 1)
-		w.sampling.SendTo(i, event{kind: evSnapshot, snap: ch})
-		blob := <-ch
-		cw.Bytes32(blob)
+	snaps := make([]chan []byte, len(w.shards))
+	for i := range snaps {
+		snaps[i] = make(chan []byte, 1)
+		w.sampling.SendTo(i, event{kind: evSnapshot, snap: snaps[i]})
+	}
+	w.lifeMu.Unlock()
+	for _, ch := range snaps {
+		cw.Bytes32(<-ch)
+	}
+	w.lifeMu.Lock()
+	var done chan struct{}
+	barriers := 0
+	if w.started.Load() {
+		barriers = w.publish.Workers()
+		done = make(chan struct{}, barriers)
+		for i := 0; i < barriers; i++ {
+			w.publish.SendTo(i, outMsg{barrier: done})
+		}
+	}
+	w.lifeMu.Unlock()
+	for i := 0; i < barriers; i++ {
+		<-done
 	}
 	// The crash boundary for non-file sinks (piped or streamed
 	// checkpoints); file checkpoints get torn-write coverage from the

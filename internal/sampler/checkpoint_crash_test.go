@@ -2,14 +2,18 @@ package sampler
 
 import (
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"helios/internal/faultpoint"
 	"helios/internal/graph"
 	"helios/internal/mq"
 	"helios/internal/query"
+	"helios/internal/wire"
 )
 
 // TestTornCheckpointNeverLoaded proves the crash-safety contract of
@@ -84,5 +88,53 @@ func TestTornCheckpointNeverLoaded(t *testing.T) {
 	w3 := newWorker()
 	if err := w3.RestoreFile(path); err != nil {
 		t.Fatalf("intact checkpoint failed to restore: %v", err)
+	}
+}
+
+// TestCheckpointCoversQueuedPublishes: Checkpoint must not return while
+// publishes caused by the events it covers still sit in the publish
+// mailboxes or batch buffers — a crash right after it would restore state
+// whose messages never reached serving. A slowed mq.append keeps the
+// publish actors backlogged long after the sampling shards are done; with
+// batching on, an hour-long linger parks the records in the buffers.
+func TestCheckpointCoversQueuedPublishes(t *testing.T) {
+	for _, batch := range []int{1, 64} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			defer faultpoint.Reset()
+			b := mq.NewBroker(mq.Options{})
+			defer b.Close()
+			w := newBatchingWorker(t, b, batch, time.Hour)
+			w.Start()
+			defer w.Stop()
+
+			faultpoint.Delay("mq.append", -1, 30*time.Millisecond)
+			const edges = 6
+			for i := 0; i < edges; i++ {
+				ingestEdge(t, b, 1, graph.Edge{Src: 1, Dst: graph.VertexID(i + 2), Type: 0, Ts: graph.Timestamp(i + 1)})
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for w.Lag() != 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if err := w.Checkpoint(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			samples, _ := b.Topic(wire.TopicSamples)
+			subs, _ := b.Topic(wire.TopicSubs)
+			gotSamples, gotSubs := samples.NextOffset(0), subs.NextOffset(0)
+
+			// Stop drains and flushes whatever is still queued.
+			faultpoint.Reset()
+			w.Stop()
+			// Every update pushes a fresh seed snapshot to serving; the
+			// subscription deltas on the subs topic are all direct
+			// consequences of the updates, so none may arrive later.
+			if gotSamples < edges {
+				t.Fatalf("samples topic held %d records at checkpoint, want >= %d", gotSamples, edges)
+			}
+			if want := subs.NextOffset(0); gotSubs != want {
+				t.Fatalf("subs topic held %d records at checkpoint, %d after quiescence", gotSubs, want)
+			}
+		})
 	}
 }

@@ -181,9 +181,9 @@ type Worker struct {
 	pubFlusher   *actor.Loop
 	pubFlushStop chan struct{}
 	pubPending   atomic.Int64
-	pollers             *actor.Loop
-	sweeper             *actor.Loop
-	sweepStop           chan struct{}
+	pollers      *actor.Loop
+	sweeper      *actor.Loop
+	sweepStop    chan struct{}
 	// started is atomic because the background sweeper reads it (via
 	// Sweep) while Stop clears it from the control goroutine. lifeMu
 	// additionally serializes whole Start/Stop bodies, so a concurrent
@@ -241,14 +241,16 @@ const (
 )
 
 // outMsg is the publisher pool's message type: an encoded wire message
-// bound for one partition of one topic, or (flush set) a linger-flush
-// sentinel telling the actor to drain its private batch buffers.
+// bound for one partition of one topic, (flush set) a linger-flush
+// sentinel telling the actor to drain its private batch buffers, or
+// (barrier set) a checkpoint barrier that drains them and then acks.
 type outMsg struct {
 	topic     mq.TopicHandle
 	partition int
 	key       uint64
 	payload   []byte
 	flush     bool
+	barrier   chan<- struct{}
 }
 
 // pubKey addresses one publish-batch buffer: records batch per
@@ -544,6 +546,17 @@ func (w *Worker) pollSubs(c mq.Cursor) bool {
 }
 
 func (w *Worker) handlePublish(worker int, m outMsg) {
+	if m.barrier != nil {
+		// Unbatched publishes append synchronously, so only the batch
+		// buffers can still hold records enqueued before the barrier.
+		if w.pubBufs != nil {
+			for _, pb := range w.pubBufs[worker] {
+				w.flushPub(pb)
+			}
+		}
+		m.barrier <- struct{}{}
+		return
+	}
 	if w.cfg.PublishBatch <= 1 {
 		//lint:allow droppederror reason=best effort by design: a closed broker during shutdown drops the tail
 		_, _ = m.topic.Append(m.partition, m.key, m.payload)
@@ -570,8 +583,8 @@ func (w *Worker) handlePublish(worker int, m outMsg) {
 }
 
 // flushPub appends a buffer's pending records as one batch. The broker
-// takes ownership of the payloads; the record slice itself is the
-// buffer's and is reused for the next batch.
+// copies the payloads; the record slice itself is the buffer's and is
+// reused for the next batch.
 func (w *Worker) flushPub(pb *pubBuf) {
 	if len(pb.recs) == 0 {
 		return

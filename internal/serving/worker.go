@@ -259,10 +259,10 @@ type Worker struct {
 	// path so a shed storm cannot convert itself into unbounded inline work.
 	limiter     *overload.Limiter
 	degradedLim *overload.Limiter
-	updatePool   *actor.Pool[cacheUpdate]
-	servePool    *actor.Pool[Request]
-	sweeper      *actor.Loop
-	sweepStop    chan struct{}
+	updatePool  *actor.Pool[cacheUpdate]
+	servePool   *actor.Pool[Request]
+	sweeper     *actor.Loop
+	sweepStop   chan struct{}
 
 	// lifeMu serializes Start/Stop; started alone is not enough — a
 	// concurrent Stop must not observe started=true before Start has
