@@ -1,9 +1,9 @@
 // Command helios-broker runs the durable queue service all Helios stages
 // communicate through (the Kafka role of §4.1), plus the coordinator's
-// control surface: workers report liveness heartbeats and telemetry
-// snapshots over the same reconnecting connection they use for queue
-// traffic, and the aggregated cluster view is served at GET /cluster on
-// the ops listener.
+// control surface: workers report telemetry snapshots over the same
+// reconnecting connection they use for queue traffic, each snapshot
+// renewing the worker's lease, and the aggregated cluster view is served
+// at GET /cluster on the ops listener.
 //
 // Usage:
 //
@@ -19,6 +19,7 @@ import (
 	"syscall"
 	"time"
 
+	"helios/internal/actor"
 	"helios/internal/coord"
 	"helios/internal/faultpoint"
 	"helios/internal/monitor"
@@ -37,12 +38,10 @@ func main() {
 	quorum := flag.Int("quorum", 0, "replicas (leader included) that must hold an append before it is acked (0 = majority)")
 	fsyncMode := flag.String("fsync", "interval", "segment durability before ack: never, interval (every -sync-every appends), always")
 	syncEvery := flag.Int("sync-every", 0, "appends between fsyncs under -fsync interval (0 = 4096 default)")
-	replReportEvery := flag.Duration("repl-report-every", 500*time.Millisecond, "replication-status report cadence (doubles as the broker liveness beat)")
-	replDeadAfter := flag.Duration("repl-dead-after", 3*time.Second, "report silence before a replica's partitions fail over (replica 0 runs the controller)")
+	replReportEvery := flag.Duration("repl-report-every", 500*time.Millisecond, "replication-status report cadence: the cadence of this replica's lease at the failover controller (replica 0), whose partitions fail over after 6 missed reports")
 	batchMax := flag.Int("batch-max", 0, "largest record batch accepted by one AppendBatch RPC (0 = 4096 default)")
 	maxIngestLag := flag.Int64("max-ingest-lag", 0, "refuse appends to the updates topic once a partition's unconsumed backlog exceeds this (0 = unlimited)")
-	deadAfter := flag.Duration("dead-after", 15*time.Second, "heartbeat silence before a worker counts as dead")
-	telemetryEvery := flag.Duration("telemetry-every", 5*time.Second, "expected worker telemetry cadence (drives /cluster staleness and death detection)")
+	telemetryEvery := flag.Duration("telemetry-every", 5*time.Second, "this broker's own telemetry cadence, which renews its lease in its own /cluster view, and the death-scan cadence")
 	flightDir := flag.String("flight-dir", "", "flight-recorder capture directory (empty = captures disabled)")
 	flightKeep := flag.Int("flight-keep", 32, "flight-recorder captures retained on disk")
 	faults := flag.String("faultpoints", "", "arm deterministic fault injection, e.g. mq.append=error:injected:3 (chaos drills)")
@@ -79,7 +78,6 @@ func main() {
 	broker.RegisterMetrics(obs.Default())
 	rpc.RegisterMetrics(obs.Default())
 	coordinator := coord.New(nil)
-	coordinator.RegisterMetrics(obs.Default(), *deadAfter)
 
 	var recorder *monitor.FlightRecorder
 	if *flightDir != "" {
@@ -89,14 +87,8 @@ func main() {
 			log.Fatalf("helios-broker: flight recorder: %v", err)
 		}
 	}
-	collector := monitor.NewCollector(monitor.CollectorConfig{
+	collector := monitor.NewCollector(coordinator, monitor.CollectorConfig{
 		Interval: *telemetryEvery,
-		DeadAfter: func() time.Duration {
-			if *deadAfter > 3*(*telemetryEvery) {
-				return *deadAfter
-			}
-			return 0 // default: 9× the telemetry interval
-		}(),
 		Registry: obs.Default(),
 		Recorder: recorder,
 		Logger:   logger,
@@ -106,14 +98,13 @@ func main() {
 
 	srv := rpc.NewServer()
 	mq.ServeBroker(broker, srv)
-	coord.ServeRPC(coordinator, srv)
 	monitor.ServeRPC(collector, srv)
 
 	// Replication control plane: every replica serves the follower surface
 	// and reports its offsets; replica 0 additionally hosts the failover
 	// controller (clients resolve partition maps against it).
-	stopRepl := make(chan struct{})
 	var failover *coord.Failover
+	var replLoop *actor.Loop
 	if peers != nil {
 		mq.ServeReplication(broker, srv)
 		if *self == 0 {
@@ -132,52 +123,36 @@ func main() {
 			failover = coord.NewFailover(coord.FailoverConfig{
 				Coordinator: coordinator,
 				Peers:       len(peers),
-				DeadAfter:   *replDeadAfter,
 				Logger:      logger,
 				Notify: func(peer int, pm mq.PartMap) error {
 					if peer == 0 {
 						broker.ApplyPartMap(pm)
 						return nil
 					}
-					return mq.SendLead(leadClients[peer], pm, *replDeadAfter)
+					// A push slower than the lease's whole lifetime is
+					// abandoned; the next round retries it.
+					return mq.SendLead(leadClients[peer], pm, coord.DeadCadences*(*replReportEvery))
 				},
 			})
 			failover.RegisterMetrics(obs.Default())
 			failover.ServeRPC(srv)
 			failover.Start(*replReportEvery)
 			defer failover.Stop()
-			go func() {
-				t := time.NewTicker(*replReportEvery)
-				defer t.Stop()
-				for {
-					select {
-					case <-stopRepl:
-						return
-					case <-t.C:
-						failover.Report(0, broker.ReplOffsets())
-					}
-				}
-			}()
+			replLoop = actor.Every(*replReportEvery, func() {
+				failover.Report(0, *replReportEvery, broker.ReplOffsets())
+			})
 		} else {
 			coordC, err := rpc.DialOpts(peers[0], rpc.Options{Reconnect: true})
 			if err != nil {
 				log.Fatalf("helios-broker: dial coordinator: %v", err)
 			}
 			defer coordC.Close()
-			go func() {
-				t := time.NewTicker(*replReportEvery)
-				defer t.Stop()
-				for {
-					select {
-					case <-stopRepl:
-						return
-					case <-t.C:
-						//lint:allow droppederror reason=best-effort status beat; a missed report just reads as dead until the next one lands
-						_ = mq.ReportReplStatus(coordC, *self, broker.ReplOffsets(), *replReportEvery)
-					}
-				}
-			}()
+			replLoop = actor.Every(*replReportEvery, func() {
+				//lint:allow droppederror reason=best-effort lease renewal; a missed report just ages the lease until the next one lands
+				_ = mq.ReportReplStatus(coordC, *self, *replReportEvery, broker.ReplOffsets())
+			})
 		}
+		defer replLoop.Stop()
 	}
 
 	addr, err := srv.Listen(*listen)
@@ -196,10 +171,11 @@ func main() {
 
 	// The broker reports its own telemetry straight into the collector it
 	// hosts, so /cluster shows the coordinator process alongside the
-	// workers.
+	// workers — under its replica name, the same lease its replication
+	// reports renew.
 	reporter := monitor.NewReporter(monitor.ReporterConfig{
-		Name:     "broker",
-		Kind:     "broker",
+		Name:     coord.BrokerName(*self),
+		Kind:     string(coord.KindBroker),
 		Every:    *telemetryEvery,
 		Registry: obs.Default(),
 		Tracer:   obs.DefaultTracer(),
@@ -216,7 +192,9 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	logger.Info(0, "mq.lifecycle", "shutting down")
-	close(stopRepl)
+	if replLoop != nil {
+		replLoop.Stop()
+	}
 	if failover != nil {
 		failover.Stop()
 	}

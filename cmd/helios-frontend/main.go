@@ -56,7 +56,7 @@ func main() {
 	servers := flag.String("servers", "", "comma-separated serving worker RPC addresses, partition-major (see replicas)")
 	listen := flag.String("listen", "127.0.0.1:8080", "HTTP listen address")
 	id := flag.Int("id", 0, "this frontend's index (names it in the cluster view)")
-	telemetryEvery := flag.Duration("telemetry-every", 5*time.Second, "cluster telemetry snapshot interval (0 = disabled)")
+	telemetryEvery := flag.Duration("telemetry-every", 5*time.Second, "telemetry snapshot cadence, which is also this gateway's lease cadence (0 = no telemetry and no lease)")
 	probeEvery := flag.Duration("probe-every", time.Second, "health-probe interval for unhealthy serving replicas")
 	requestTimeout := flag.Duration("request-timeout", 0, "end-to-end deadline budget per sampling request (0 = config's overload.requestTimeoutMs, or none)")
 	maxInflight := flag.Int("max-inflight", 0, "admitted concurrent sampling requests (0 = config's overload.maxInflight, or unlimited)")

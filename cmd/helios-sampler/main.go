@@ -19,6 +19,7 @@ import (
 	"syscall"
 	"time"
 
+	"helios/internal/actor"
 	"helios/internal/coord"
 	"helios/internal/deploy"
 	"helios/internal/faultpoint"
@@ -30,8 +31,8 @@ import (
 )
 
 // busConn is the piece of *mq.RemoteBroker and *mq.Cluster the worker
-// binaries use: queue traffic plus the control connection heartbeats and
-// telemetry ride on.
+// binaries use: queue traffic plus the control connection telemetry rides
+// on.
 type busConn interface {
 	mq.Bus
 	Client() *rpc.Client
@@ -62,8 +63,7 @@ func main() {
 	checkpointEvery := flag.Duration("checkpoint-every", time.Minute, "checkpoint interval")
 	snapshotDir := flag.String("snapshot-dir", "", "warm-restart snapshot directory (derives the checkpoint path sampler-<id>.ckpt; overrides -checkpoint)")
 	snapshotEvery := flag.Duration("snapshot-every", 0, "snapshot interval under -snapshot-dir (0 = -checkpoint-every)")
-	heartbeatEvery := flag.Duration("heartbeat-every", 5*time.Second, "coordinator heartbeat interval (0 = disabled)")
-	telemetryEvery := flag.Duration("telemetry-every", 5*time.Second, "cluster telemetry snapshot interval (0 = disabled)")
+	telemetryEvery := flag.Duration("telemetry-every", 5*time.Second, "telemetry snapshot cadence, which is also this worker's lease cadence (0 = no telemetry and no lease)")
 	faults := flag.String("faultpoints", "", "arm deterministic fault injection, e.g. rpc.client.write=error (chaos drills)")
 	opsAddr := flag.String("ops-addr", "", "serve /metrics, /traces, /slo and pprof on this address (empty = disabled)")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, error")
@@ -137,27 +137,6 @@ func main() {
 	logger.Info(0, "sampler.lifecycle", "worker running",
 		"id", *id, "samplers", cfg.File.Samplers, "queries", len(cfg.Plans))
 
-	stopCkpt := make(chan struct{})
-	if *heartbeatEvery > 0 {
-		// Heartbeats ride the broker connection, which reconnects by
-		// itself — so a worker that cannot reach the broker misses beats
-		// and is, correctly, reported dead by the coordinator.
-		hb := coord.NewClient(bus.Client(), 0)
-		name := fmt.Sprintf("sampler-%d", *id)
-		go func() {
-			t := time.NewTicker(*heartbeatEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopCkpt:
-					return
-				case <-t.C:
-					//lint:allow droppederror reason=best-effort liveness beat; a missed beat just reads as dead until the next one lands
-					_ = hb.Heartbeat(name, coord.KindSampler)
-				}
-			}
-		}()
-	}
 	if *telemetryEvery > 0 {
 		reporter := monitor.NewReporter(monitor.ReporterConfig{
 			Name:     fmt.Sprintf("sampler-%d", *id),
@@ -172,27 +151,21 @@ func main() {
 		reporter.Start()
 		defer reporter.Stop()
 	}
+	var ckpt *actor.Loop
 	if *checkpoint != "" {
-		go func() {
-			t := time.NewTicker(*checkpointEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopCkpt:
-					return
-				case <-t.C:
-					if err := w.CheckpointFile(*checkpoint); err != nil {
-						logger.Error(0, "sampler.checkpoint", "checkpoint failed", "path", *checkpoint, "err", err)
-					}
-				}
+		ckpt = actor.Every(*checkpointEvery, func() {
+			if err := w.CheckpointFile(*checkpoint); err != nil {
+				logger.Error(0, "sampler.checkpoint", "checkpoint failed", "path", *checkpoint, "err", err)
 			}
-		}()
+		})
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	close(stopCkpt)
+	if ckpt != nil {
+		ckpt.Stop()
+	}
 	log.Printf("helios-sampler: draining (stats: %+v)", w.Stats())
 	w.Stop()
 }

@@ -38,8 +38,7 @@ func pick(flagVal, cfgVal int) int {
 }
 
 // busConn is the piece of *mq.RemoteBroker and *mq.Cluster this binary
-// uses: queue traffic plus the control connection heartbeats and telemetry
-// ride on.
+// uses: queue traffic plus the control connection telemetry rides on.
 type busConn interface {
 	mq.Bus
 	Client() *rpc.Client
@@ -71,8 +70,7 @@ func main() {
 	snapshotEvery := flag.Duration("snapshot-every", time.Minute, "cache snapshot interval under -snapshot-dir")
 	batchMax := flag.Int("batch-max", 0, "largest sample batch accepted by one batched RPC (0 = 1024 default)")
 	statsEvery := flag.Duration("stats-every", 30*time.Second, "stats log interval (0 = off)")
-	heartbeatEvery := flag.Duration("heartbeat-every", 5*time.Second, "coordinator heartbeat interval (0 = disabled)")
-	telemetryEvery := flag.Duration("telemetry-every", 5*time.Second, "cluster telemetry snapshot interval (0 = disabled)")
+	telemetryEvery := flag.Duration("telemetry-every", 5*time.Second, "telemetry snapshot cadence, which is also this worker's lease cadence (0 = no telemetry and no lease)")
 	faults := flag.String("faultpoints", "", "arm deterministic fault injection, e.g. mq.fetch=error:injected:3 (chaos drills)")
 	opsAddr := flag.String("ops-addr", "", "serve /metrics, /traces, /slo and pprof on this address (empty = disabled)")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, error")
@@ -168,30 +166,11 @@ func main() {
 			}
 		}()
 	}
-	if *heartbeatEvery > 0 {
-		// Heartbeats ride the broker connection, which reconnects by
-		// itself — a worker cut off from the broker misses beats and is,
-		// correctly, reported dead by the coordinator.
-		hb := coord.NewClient(bus.Client(), 0)
-		name := fmt.Sprintf("server-%d", *id)
-		go func() {
-			t := time.NewTicker(*heartbeatEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					//lint:allow droppederror reason=best-effort liveness beat; a missed beat just reads as dead until the next one lands
-					_ = hb.Heartbeat(name, coord.KindServer)
-				}
-			}
-		}()
-	}
 	if *telemetryEvery > 0 {
-		// Telemetry rides the same reconnecting broker connection as the
-		// heartbeats; a worker that cannot deliver snapshots is the one
-		// /cluster correctly shows going stale.
+		// Telemetry rides the reconnecting broker connection, and each
+		// snapshot renews this worker's lease: a worker that cannot
+		// deliver snapshots is the one /cluster correctly shows going
+		// stale, then dead.
 		reporter := monitor.NewReporter(monitor.ReporterConfig{
 			Name:     fmt.Sprintf("server-%d", *id),
 			Kind:     string(coord.KindServer),

@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"helios/internal/actor"
 	"helios/internal/coord"
 	"helios/internal/deploy"
 	"helios/internal/faultpoint"
@@ -54,7 +55,7 @@ const clusterConfig = `{
 func main() {
 	opsAddr := flag.String("ops-addr", "", "serve /metrics, /traces, /cluster and pprof on this address (empty = disabled)")
 	linger := flag.Duration("linger", 0, "keep the deployment alive this long after the demo (for ops scraping)")
-	telemetryEvery := flag.Duration("telemetry-every", 500*time.Millisecond, "cluster telemetry snapshot interval (0 = disabled)")
+	telemetryEvery := flag.Duration("telemetry-every", 500*time.Millisecond, "telemetry snapshot cadence, which is also each worker's lease cadence (0 = no telemetry and no worker leases)")
 	flightDir := flag.String("flight-dir", "", "flight-recorder capture directory (empty = captures disabled)")
 	chaos := flag.Bool("chaos", false, "after the demo, kill and restart the broker endpoint and prove reconvergence")
 	burst := flag.Bool("burst", false, "after the demo, slow the serve path and fire a request storm to demo admission control and graceful degradation")
@@ -71,6 +72,11 @@ func main() {
 	reg := obs.Default()
 	tracer := obs.DefaultTracer()
 
+	// The coordinator's lease table is the one record of who is alive:
+	// telemetry snapshots and broker replication reports both renew it,
+	// and /cluster, its gauges and the failover controller all read it.
+	coordinator := coord.New(nil)
+
 	// The collector plays the coordinator's observability role: workers
 	// report telemetry snapshots over their broker connections and the
 	// aggregate is served at GET /cluster below.
@@ -81,7 +87,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	collector := monitor.NewCollector(monitor.CollectorConfig{
+	collector := monitor.NewCollector(coordinator, monitor.CollectorConfig{
 		Interval: *telemetryEvery,
 		Registry: reg,
 		Recorder: recorder,
@@ -100,14 +106,12 @@ func main() {
 	}
 
 	// --- coordinator endpoint ---
-	// The coordinator control surface (liveness registry, telemetry
-	// collector, broker failover controller) lives on its own RPC server, so
-	// killing a broker endpoint in the drills below never takes the control
-	// plane with it — the same separation -replicas deployments get by
-	// pointing clients at replica 0's address.
-	coordinator := coord.New(nil)
+	// The coordinator control surface (telemetry collector, broker
+	// failover controller) lives on its own RPC server, so killing a
+	// broker endpoint in the drills below never takes the control plane
+	// with it — the same separation -replicas deployments get by pointing
+	// clients at replica 0's address.
 	coordSrv := rpc.NewServer()
-	coord.ServeRPC(coordinator, coordSrv)
 	monitor.ServeRPC(collector, coordSrv)
 	coordAddr, err := coordSrv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -120,7 +124,7 @@ func main() {
 	const replicas = 3
 	brokers := make([]*mq.Broker, replicas)
 	brokerSrvs := make([]*rpc.Server, replicas)
-	brokerStop := make([]chan struct{}, replicas)
+	brokerReports := make([]*actor.Loop, replicas)
 	var brokerAddrs []string
 	for i := 0; i < replicas; i++ {
 		b := mq.NewBroker(mq.Options{})
@@ -151,11 +155,10 @@ func main() {
 	}
 
 	// The failover controller promotes the most-caught-up live replica when
-	// a partition leader's status reports go silent.
+	// a partition leader's lease dies.
 	fo := coord.NewFailover(coord.FailoverConfig{
 		Coordinator: coordinator,
 		Peers:       replicas,
-		DeadAfter:   time.Second,
 		Notify: func(peer int, pm mq.PartMap) error {
 			brokers[peer].ApplyPartMap(pm)
 			return nil
@@ -167,30 +170,20 @@ func main() {
 	defer fo.Stop()
 
 	// Every replica reports its replication offsets over RPC, exactly like
-	// the helios-broker binary; the report doubles as the liveness beat, so
-	// closing a replica's stop channel makes it go silent like a dead
-	// process.
+	// the helios-broker binary; each report renews the replica's lease
+	// (dead after 6 missed 100ms reports), so stopping a replica's report
+	// loop makes it go silent like a dead process.
 	for i := 0; i < replicas; i++ {
-		stop := make(chan struct{})
-		brokerStop[i] = stop
 		rc, err := rpc.DialOpts(coordAddr, rpc.Options{Reconnect: true})
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer rc.Close()
-		go func(i int, rc *rpc.Client) {
-			t := time.NewTicker(100 * time.Millisecond)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					//lint:allow droppederror reason=best-effort status beat; a missed report just reads as dead until the next one lands
-					_ = mq.ReportReplStatus(rc, i, brokers[i].ReplOffsets(), time.Second)
-				}
-			}
-		}(i, rc)
+		brokerReports[i] = actor.Every(100*time.Millisecond, func() {
+			//lint:allow droppederror reason=best-effort lease renewal; a missed report just ages the lease until the next one lands
+			_ = mq.ReportReplStatus(rc, i, 100*time.Millisecond, brokers[i].ReplOffsets())
+		})
+		defer brokerReports[i].Stop()
 	}
 	fmt.Printf("broker replicas on %v (quorum 2)\n", brokerAddrs)
 
@@ -380,7 +373,7 @@ func main() {
 	if *chaos {
 		// Kill broker 0's RPC endpoint mid-run. The retained log survives
 		// inside the Broker; every client connection dies and self-heals.
-		// (Its status beats keep flowing in-process, so the controller
+		// (Its status reports keep flowing in-process, so the controller
 		// correctly does NOT fail its partitions over — this drill is about
 		// transport-level self-healing; -failover covers real broker death.)
 		fmt.Println("chaos: killing broker endpoint")
@@ -539,13 +532,13 @@ func main() {
 
 		// The controller only fails over leaders it has seen report (a
 		// replica that never reported is "not started yet", not dead), so
-		// wait until every replica's status beats have registered — in a
-		// real deployment brokers report long before anything fails.
+		// wait until every replica holds a lease — in a real deployment
+		// brokers report long before anything fails.
 		knownBy := time.Now().Add(15 * time.Second)
 		for {
 			known := 0
-			for _, w := range coordinator.Workers() {
-				if w.Kind == coord.KindBroker {
+			for i := 0; i < replicas; i++ {
+				if _, ok := coordinator.Lease(coord.BrokerName(i)); ok {
 					known++
 				}
 			}
@@ -559,7 +552,7 @@ func main() {
 		}
 
 		// Permanently kill the broker leading the updates partition those
-		// edges landed on: endpoint closed, status beats stopped — to the
+		// edges landed on: endpoint closed, status reports stopped — to the
 		// controller, the process is gone.
 		target := int(graph.Hash64(1) % uint64(cfg.File.Samplers))
 		leaderOf := func(part int) int {
@@ -568,7 +561,7 @@ func main() {
 		}
 		victim := leaderOf(target)
 		fmt.Printf("failover: killing broker %d (leader of %s/%d)\n", victim, wire.TopicUpdates, target)
-		close(brokerStop[victim])
+		brokerReports[victim].Stop()
 		brokerSrvs[victim].Close()
 
 		promoteBy := time.Now().Add(30 * time.Second)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"helios/internal/graph"
 	"helios/internal/metrics"
@@ -161,6 +162,36 @@ func NewLoop(n int, fn func(worker int) bool) *Loop {
 			}
 		}(i)
 	}
+	return l
+}
+
+// Every starts one goroutine running fn once per interval until Stop — the
+// shape of every periodic control-plane loop (telemetry reports, death
+// scans, failover rounds, checkpoints). Stop interrupts the wait between
+// runs, so it returns as soon as an in-progress fn does, and fn never runs
+// after Stop returns. interval must be positive, as for time.NewTicker.
+func Every(interval time.Duration, fn func()) *Loop {
+	l := &Loop{stop: make(chan struct{})}
+	l.wg.Add(1)
+	go func() {
+		defer l.wg.Done()
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-l.stop:
+				return
+			case <-t.C:
+			}
+			// A tick and Stop can be ready together; Stop wins.
+			select {
+			case <-l.stop:
+				return
+			default:
+			}
+			fn()
+		}
+	}()
 	return l
 }
 

@@ -190,6 +190,40 @@ func TestLoopSelfTermination(t *testing.T) {
 	l.Stop()
 }
 
+func TestEveryRunsPeriodically(t *testing.T) {
+	var ran atomic.Int64
+	l := Every(time.Millisecond, func() { ran.Add(1) })
+	deadline := time.Now().Add(5 * time.Second)
+	for ran.Load() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("ran %d times in 5s at a 1ms interval", ran.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	l.Stop()
+	after := ran.Load()
+	time.Sleep(20 * time.Millisecond)
+	if ran.Load() != after {
+		t.Fatal("fn ran after Stop returned")
+	}
+	l.Stop() // idempotent
+}
+
+// Stop must interrupt the wait between runs: with an hour-long interval it
+// returns at once, and fn never runs at all.
+func TestEveryStopInterruptsWait(t *testing.T) {
+	var ran atomic.Int64
+	l := Every(time.Hour, func() { ran.Add(1) })
+	start := time.Now()
+	l.Stop()
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Fatalf("Stop took %v with a 1h interval", took)
+	}
+	if ran.Load() != 0 {
+		t.Fatalf("fn ran %d times", ran.Load())
+	}
+}
+
 func BenchmarkPoolSend(b *testing.B) {
 	p := NewPool("bench", 8, 1024, func(_ int, _ uint64) {})
 	defer p.Close()

@@ -333,8 +333,7 @@ func (c *Local) idle() bool {
 
 // EnableCheckpoints makes the coordinator checkpoint every sampling worker
 // to dir each interval (§4.1: "periodically triggers checkpointing for
-// fault tolerance") and records worker heartbeats alongside. onErr (may be
-// nil) receives checkpoint failures.
+// fault tolerance"). onErr (may be nil) receives checkpoint failures.
 func (c *Local) EnableCheckpoints(dir string, interval time.Duration, onErr func(error)) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -342,14 +341,9 @@ func (c *Local) EnableCheckpoints(dir string, interval time.Duration, onErr func
 	return c.Coord.StartCheckpoints(interval, func() error {
 		var firstErr error
 		for i, w := range c.Samplers {
-			c.Coord.Heartbeat(fmt.Sprintf("saw-%d", i), coord.KindSampler)
-			path := filepath.Join(dir, fmt.Sprintf("saw-%d.ckpt", i))
-			if err := w.CheckpointFile(path); err != nil && firstErr == nil {
+			if err := w.CheckpointFile(CheckpointPath(dir, i)); err != nil && firstErr == nil {
 				firstErr = err
 			}
-		}
-		for i := range c.Servers {
-			c.Coord.Heartbeat(fmt.Sprintf("sew-%d", i), coord.KindServer)
 		}
 		return firstErr
 	}, onErr)

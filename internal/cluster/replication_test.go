@@ -151,9 +151,6 @@ func TestCoordinatorCheckpointing(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if ws := c.Coord.Workers(); len(ws) != 3 { // 2 samplers + 1 server
-		t.Fatalf("registered workers = %d", len(ws))
-	}
 	// A fresh worker must be able to restore the written checkpoint.
 	w, err := sampler.New(sampler.Config{
 		ID: 0, NumSamplers: 2, NumServers: 1,

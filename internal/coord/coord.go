@@ -1,12 +1,11 @@
 // Package coord implements the Helios coordinator (§4.1): it registers
 // user-specified sampling queries, decomposes each K-hop query into one-hop
-// queries with their dependency DAG, tracks worker liveness via heartbeats,
-// and periodically triggers checkpoints for fault tolerance.
+// queries with their dependency DAG, tracks liveness in one lease table
+// (lease.go), and periodically triggers checkpoints for fault tolerance.
 package coord
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -16,7 +15,7 @@ import (
 	"helios/internal/query"
 )
 
-// WorkerKind labels registered workers.
+// WorkerKind labels lease holders.
 type WorkerKind string
 
 const (
@@ -24,44 +23,39 @@ const (
 	KindSampler WorkerKind = "sampler"
 	// KindServer identifies serving workers.
 	KindServer WorkerKind = "server"
-	// KindFrontend identifies frontend gateways (they report telemetry,
-	// not data-plane liveness).
+	// KindFrontend identifies frontend gateways.
 	KindFrontend WorkerKind = "frontend"
 	// KindBroker identifies broker replicas: their per-partition
-	// replication-status reports double as liveness beats, feeding the
-	// failover controller's leader-death detection (failover.go).
+	// replication-status reports renew their leases, feeding the failover
+	// controller's leader-death detection (failover.go).
 	KindBroker WorkerKind = "broker"
 )
 
-// WorkerInfo is the registry entry for one worker.
-type WorkerInfo struct {
-	Name     string
-	Kind     WorkerKind
-	LastBeat time.Time
-}
+// BrokerName is the lease name of broker replica i — both its
+// replication-status reports and its telemetry renew this one lease.
+func BrokerName(i int) string { return fmt.Sprintf("broker-%d", i) }
 
 // Coordinator is the control-plane singleton. All methods are safe for
 // concurrent use.
 type Coordinator struct {
-	mu      sync.RWMutex
-	schema  *graph.Schema
-	plans   []*query.Plan
-	nextID  query.ID
-	workers map[string]*WorkerInfo
-	clk     clock.Clock
+	mu     sync.RWMutex
+	schema *graph.Schema
+	plans  []*query.Plan
+	nextID query.ID
+	leases map[string]*leaseEntry
+	clk    clock.Clock
 
-	ckpt       *actor.Loop
-	ckptCancel sync.Once
+	ckpt *actor.Loop
 }
 
 // New returns a coordinator over the given schema.
 func New(schema *graph.Schema) *Coordinator {
-	return &Coordinator{schema: schema, workers: make(map[string]*WorkerInfo), clk: clock.Wall()}
+	return &Coordinator{schema: schema, leases: make(map[string]*leaseEntry), clk: clock.Wall()}
 }
 
-// WithClock replaces the liveness clock (wall by default), returning c
-// for chaining. Tests inject a fake so dead-worker detection and
-// re-admission run without sleeping. Set it before workers heartbeat.
+// WithClock replaces the lease clock (wall by default), returning c for
+// chaining. Tests inject a fake so death detection and re-admission run
+// without sleeping. Set it before any lease is renewed.
 func (c *Coordinator) WithClock(clk clock.Clock) *Coordinator {
 	if clk != nil {
 		c.mu.Lock()
@@ -119,47 +113,6 @@ func (c *Coordinator) PlanByName(name string) (*query.Plan, bool) {
 	return nil, false
 }
 
-// Heartbeat records liveness for a worker, registering it on first beat.
-func (c *Coordinator) Heartbeat(name string, kind WorkerKind) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.workers[name]
-	if w == nil {
-		w = &WorkerInfo{Name: name, Kind: kind}
-		c.workers[name] = w
-	}
-	w.LastBeat = c.clk.Now()
-}
-
-// Workers lists registered workers sorted by name.
-func (c *Coordinator) Workers() []WorkerInfo {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]WorkerInfo, 0, len(c.workers))
-	for _, w := range c.workers {
-		out = append(out, *w)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Dead lists workers whose last heartbeat is older than timeout. A dead
-// worker that resumes heartbeating is re-admitted automatically — its
-// next Heartbeat refreshes LastBeat, dropping it from this list (and
-// decrementing the coord.dead_workers gauge).
-func (c *Coordinator) Dead(timeout time.Duration) []WorkerInfo {
-	c.mu.RLock()
-	cutoff := c.clk.Now().Add(-timeout)
-	c.mu.RUnlock()
-	var dead []WorkerInfo
-	for _, w := range c.Workers() {
-		if w.LastBeat.Before(cutoff) {
-			dead = append(dead, w)
-		}
-	}
-	return dead
-}
-
 // StartCheckpoints invokes fn every interval until StopCheckpoints (§4.1:
 // "periodically triggers checkpointing"). fn failures are reported through
 // onErr (may be nil).
@@ -169,12 +122,13 @@ func (c *Coordinator) StartCheckpoints(interval time.Duration, fn func() error, 
 	if c.ckpt != nil {
 		return fmt.Errorf("coord: checkpoints already running")
 	}
-	c.ckpt = actor.NewLoop(1, func(int) bool {
-		time.Sleep(interval)
+	if interval <= 0 {
+		return fmt.Errorf("coord: checkpoint interval %v", interval)
+	}
+	c.ckpt = actor.Every(interval, func() {
 		if err := fn(); err != nil && onErr != nil {
 			onErr(err)
 		}
-		return true
 	})
 	return nil
 }
@@ -185,6 +139,6 @@ func (c *Coordinator) StopCheckpoints() {
 	loop := c.ckpt
 	c.mu.Unlock()
 	if loop != nil {
-		c.ckptCancel.Do(loop.Stop)
+		loop.Stop()
 	}
 }

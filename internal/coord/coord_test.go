@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"helios/internal/graph"
+	"helios/internal/mq"
 	"helios/internal/query"
 	"helios/internal/sampling"
 )
@@ -60,25 +61,6 @@ func TestRegisterInvalidQuery(t *testing.T) {
 	c.MustRegister(query.Query{})
 }
 
-func TestHeartbeatsAndLiveness(t *testing.T) {
-	c := New(testSchema())
-	c.Heartbeat("saw-0", KindSampler)
-	c.Heartbeat("sew-0", KindServer)
-	ws := c.Workers()
-	if len(ws) != 2 || ws[0].Name != "saw-0" || ws[1].Name != "sew-0" {
-		t.Fatalf("workers = %v", ws)
-	}
-	if dead := c.Dead(time.Second); len(dead) != 0 {
-		t.Fatalf("fresh workers reported dead: %v", dead)
-	}
-	time.Sleep(30 * time.Millisecond)
-	c.Heartbeat("saw-0", KindSampler) // keep one alive
-	dead := c.Dead(20 * time.Millisecond)
-	if len(dead) != 1 || dead[0].Name != "sew-0" {
-		t.Fatalf("dead = %v", dead)
-	}
-}
-
 func TestCheckpointLoop(t *testing.T) {
 	c := New(testSchema())
 	var calls, errs atomic.Int64
@@ -94,6 +76,9 @@ func TestCheckpointLoop(t *testing.T) {
 	if err := c.StartCheckpoints(time.Hour, func() error { return nil }, nil); err == nil {
 		t.Fatal("double start should fail")
 	}
+	if err := New(testSchema()).StartCheckpoints(0, func() error { return nil }, nil); err == nil {
+		t.Fatal("zero interval should fail")
+	}
 	time.Sleep(100 * time.Millisecond)
 	c.StopCheckpoints()
 	if calls.Load() < 3 {
@@ -106,5 +91,29 @@ func TestCheckpointLoop(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if calls.Load() != after {
 		t.Fatal("checkpoints kept firing after stop")
+	}
+}
+
+// Every periodic loop must stop without waiting out its interval, and
+// must not run after Stop returns: with an hour-long interval, Stop
+// returns at once and the loop body never runs.
+func TestPeriodicLoopsStopPromptly(t *testing.T) {
+	c := New(testSchema())
+	var calls atomic.Int64
+	if err := c.StartCheckpoints(time.Hour, func() error { calls.Add(1); return nil }, nil); err != nil {
+		t.Fatal(err)
+	}
+	f := NewFailover(FailoverConfig{Coordinator: c, Peers: 3,
+		Notify: func(int, mq.PartMap) error { calls.Add(1); return nil }})
+	f.Start(time.Hour)
+
+	start := time.Now()
+	c.StopCheckpoints()
+	f.Stop()
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Fatalf("stopping took %v with 1h intervals", took)
+	}
+	if calls.Load() != 0 {
+		t.Fatalf("loop bodies ran %d times", calls.Load())
 	}
 }

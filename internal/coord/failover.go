@@ -1,7 +1,6 @@
 package coord
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -15,12 +14,11 @@ import (
 
 // Failover is the coordinator-driven broker failover controller (ROADMAP
 // item 4): broker replicas report their per-partition replication offsets
-// (mq.MethodReplStatus), each report doubling as a liveness beat through
-// the coordinator's existing dead-worker machinery; when a partition's
-// leader goes silent past DeadAfter, the controller promotes the
-// most-caught-up live replica and publishes the new leadership in a
-// versioned mq.PartMap — pushed to every live broker (mq.MethodLead) and
-// served to clients on demand (mq.MethodPartMap).
+// (mq.MethodReplStatus), each report renewing the replica's lease in the
+// coordinator's lease table; when a partition leader's lease dies, the
+// controller promotes the most-caught-up live replica and publishes the
+// new leadership in a versioned mq.PartMap — pushed to every live broker
+// (mq.MethodLead) and served to clients on demand (mq.MethodPartMap).
 //
 // The controller itself runs wherever the coordinator runs (one designated
 // endpoint); it is intentionally not itself replicated — the single
@@ -28,19 +26,13 @@ import (
 // down, the cluster keeps serving under the last published map, it merely
 // cannot promote until the coordinator returns.
 
-// brokerName is the liveness-registry name of broker replica i.
-func brokerName(i int) string { return fmt.Sprintf("broker-%d", i) }
-
 // FailoverConfig wires the controller.
 type FailoverConfig struct {
-	// Coordinator supplies the heartbeat registry and dead-worker
-	// detection (and, in tests, the fake clock).
+	// Coordinator holds the lease table: replica reports renew it, and
+	// Step reads replica death from it (in tests, on a fake clock).
 	Coordinator *Coordinator
 	// Peers is the broker replica count; replica indices are [0, Peers).
 	Peers int
-	// DeadAfter is how long a broker may go silent before its partitions
-	// fail over; 0 defaults to 3s.
-	DeadAfter time.Duration
 	// Notify pushes a partition map to one live broker replica. Called
 	// without controller locks held. Nil disables pushes (tests poll
 	// PartMap directly).
@@ -61,16 +53,12 @@ type Failover struct {
 	// Failovers counts leader promotions (the mq.failovers counter).
 	Failovers metrics.Counter
 
-	loop     *actor.Loop
-	stopOnce sync.Once
+	loop *actor.Loop
 }
 
 // NewFailover returns a controller; call Start (or drive Step from a test)
 // after brokers begin reporting.
 func NewFailover(cfg FailoverConfig) *Failover {
-	if cfg.DeadAfter == 0 {
-		cfg.DeadAfter = 3 * time.Second
-	}
 	return &Failover{
 		cfg:    cfg,
 		status: make(map[int]map[mq.PartKey]int64),
@@ -79,9 +67,9 @@ func NewFailover(cfg FailoverConfig) *Failover {
 	}
 }
 
-// Report ingests one broker's replication status. The report is also the
-// broker's liveness beat: a replica that stops reporting is, correctly,
-// the one whose partitions fail over.
+// Report ingests one broker's replication status, sent every `every`. The
+// report also renews the replica's lease: a replica that stops reporting
+// is, correctly, the one whose partitions fail over.
 //
 // Each report replaces the peer's previous one (last-write-wins, not
 // max-merge): a demoted replica legitimately rewinds its log when it
@@ -89,11 +77,11 @@ func NewFailover(cfg FailoverConfig) *Failover {
 // must compare current offsets — a max-ever merge would let a stale
 // revived ex-leader look more caught-up than a replica that actually
 // holds every quorum-acked record.
-func (f *Failover) Report(peer int, entries []mq.ReplEntry) {
-	if peer < 0 || peer >= f.cfg.Peers {
+func (f *Failover) Report(peer int, every time.Duration, entries []mq.ReplEntry) {
+	if peer < 0 || peer >= f.cfg.Peers || every <= 0 {
 		return
 	}
-	f.cfg.Coordinator.Heartbeat(brokerName(peer), KindBroker)
+	f.cfg.Coordinator.Renew(BrokerName(peer), KindBroker, every)
 	m := make(map[mq.PartKey]int64, len(entries))
 	for _, e := range entries {
 		m[mq.PartKey{Topic: e.Topic, Partition: e.Partition}] = e.Next
@@ -111,31 +99,34 @@ func (f *Failover) PartMap() mq.PartMap {
 	return f.pm.Clone()
 }
 
+// membership reads each replica's lease: known once it has reported at
+// all, dead once its lease has died.
+func (f *Failover) membership() (known, dead []bool) {
+	known, dead = make([]bool, f.cfg.Peers), make([]bool, f.cfg.Peers)
+	for i := range known {
+		l, ok := f.cfg.Coordinator.Lease(BrokerName(i))
+		known[i], dead[i] = ok, ok && l.Health == Dead
+	}
+	return known, dead
+}
+
+// DeadReplicas lists the replicas Step treats as dead: known to the lease
+// table and past the lease rule's dead threshold.
+func (f *Failover) DeadReplicas() []int {
+	var out []int
+	_, dead := f.membership()
+	for i, d := range dead {
+		if d {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // Step runs one detection/promotion/publication round. Exposed so tests
 // drive it against a fake clock; Start runs it periodically.
 func (f *Failover) Step() {
-	dead := make(map[int]bool)
-	known := make(map[int]bool)
-	for _, w := range f.cfg.Coordinator.Workers() {
-		if w.Kind != KindBroker {
-			continue
-		}
-		var i int
-		if _, err := fmt.Sscanf(w.Name, "broker-%d", &i); err != nil {
-			continue
-		}
-		known[i] = true
-	}
-	for _, w := range f.cfg.Coordinator.Dead(f.cfg.DeadAfter) {
-		if w.Kind != KindBroker {
-			continue
-		}
-		var i int
-		if _, err := fmt.Sscanf(w.Name, "broker-%d", &i); err != nil {
-			continue
-		}
-		dead[i] = true
-	}
+	known, dead := f.membership()
 
 	type promotion struct {
 		key  mq.PartKey
@@ -154,9 +145,10 @@ func (f *Failover) Step() {
 	for k := range keys {
 		//lint:allow lockacrossblock reason=PartMap.Leader is a pure in-memory lookup, not queue I/O
 		leader := f.pm.Leader(k.Topic, k.Partition, f.cfg.Peers)
-		// Only fail over leaders the registry has actually seen die: a
-		// replica that never reported is "not started yet", not dead.
-		if !known[leader] || !dead[leader] {
+		// Only fail over leaders the lease table has actually seen die
+		// (dead implies known): a replica that never reported is "not
+		// started yet", not dead.
+		if !dead[leader] {
 			continue
 		}
 		best, bestNext := -1, int64(-1)
@@ -222,17 +214,13 @@ func (f *Failover) Start(every time.Duration) {
 	if every <= 0 {
 		every = time.Second
 	}
-	f.loop = actor.NewLoop(1, func(int) bool {
-		time.Sleep(every)
-		f.Step()
-		return true
-	})
+	f.loop = actor.Every(every, f.Step)
 }
 
-// Stop halts the Step loop.
+// Stop halts the Step loop; no Step runs after it returns.
 func (f *Failover) Stop() {
 	if f.loop != nil {
-		f.stopOnce.Do(f.loop.Stop)
+		f.loop.Stop()
 	}
 }
 
@@ -251,11 +239,11 @@ func (f *Failover) RegisterMetrics(reg *obs.Registry) {
 // reports in, partition maps out.
 func (f *Failover) ServeRPC(srv *rpc.Server) {
 	srv.Handle(mq.MethodReplStatus, func(req []byte) ([]byte, error) {
-		peer, entries, err := mq.DecodeReplStatus(req)
+		peer, every, entries, err := mq.DecodeReplStatus(req)
 		if err != nil {
 			return nil, err
 		}
-		f.Report(peer, entries)
+		f.Report(peer, every, entries)
 		return nil, nil
 	})
 	srv.Handle(mq.MethodPartMap, func(req []byte) ([]byte, error) {

@@ -32,11 +32,14 @@ func (n *notifyLog) version(peer int) (int64, bool) {
 	return v, ok
 }
 
+// reportEvery is the test replicas' report cadence: a replica is dead
+// after 6 × 100ms = 600ms of silence.
+const reportEvery = 100 * time.Millisecond
+
 func newTestFailover(fk *clock.Fake, peers int, nl *notifyLog) *Failover {
 	cfg := FailoverConfig{
 		Coordinator: New(nil).WithClock(fk),
 		Peers:       peers,
-		DeadAfter:   time.Second,
 	}
 	if nl != nil {
 		cfg.Notify = nl.push
@@ -58,12 +61,12 @@ func TestStepPromotesMostCaughtUp(t *testing.T) {
 	nl := &notifyLog{}
 	f := newTestFailover(fk, 3, nl)
 
-	f.Report(0, entry("t", 1, 5))
-	f.Report(1, entry("t", 1, 9)) // the leader, soon dead
-	f.Report(2, entry("t", 1, 7))
+	f.Report(0, reportEvery, entry("t", 1, 5))
+	f.Report(1, reportEvery, entry("t", 1, 9)) // the leader, soon dead
+	f.Report(2, reportEvery, entry("t", 1, 7))
 	fk.Advance(1500 * time.Millisecond)
-	f.Report(0, entry("t", 1, 5))
-	f.Report(2, entry("t", 1, 7))
+	f.Report(0, reportEvery, entry("t", 1, 5))
+	f.Report(2, reportEvery, entry("t", 1, 7))
 	f.Step()
 
 	pm := f.PartMap()
@@ -88,8 +91,8 @@ func TestStepPromotesMostCaughtUp(t *testing.T) {
 	// A second round with nothing newly dead must be a no-op: the
 	// promoted leader is alive, so no re-promotion, no version churn.
 	fk.Advance(100 * time.Millisecond)
-	f.Report(0, entry("t", 1, 5))
-	f.Report(2, entry("t", 1, 9))
+	f.Report(0, reportEvery, entry("t", 1, 5))
+	f.Report(2, reportEvery, entry("t", 1, 9))
 	f.Step()
 	if pm := f.PartMap(); pm.Version != 1 || f.Failovers.Value() != 1 {
 		t.Fatalf("idle round churned: v%d failovers=%d", pm.Version, f.Failovers.Value())
@@ -104,11 +107,11 @@ func TestStepNeverReportedLeaderNotFailedOver(t *testing.T) {
 	f := newTestFailover(fk, 3, nil)
 
 	// Followers report t/1 (led by the silent broker 1); broker 1 never does.
-	f.Report(0, entry("t", 1, 5))
-	f.Report(2, entry("t", 1, 7))
+	f.Report(0, reportEvery, entry("t", 1, 5))
+	f.Report(2, reportEvery, entry("t", 1, 7))
 	fk.Advance(10 * time.Second)
-	f.Report(0, entry("t", 1, 5))
-	f.Report(2, entry("t", 1, 7))
+	f.Report(0, reportEvery, entry("t", 1, 5))
+	f.Report(2, reportEvery, entry("t", 1, 7))
 	f.Step()
 
 	pm := f.PartMap()
@@ -127,12 +130,12 @@ func TestStepTieBreaksLowestIndex(t *testing.T) {
 	fk := clock.NewFake()
 	f := newTestFailover(fk, 3, nil)
 
-	f.Report(0, entry("t", 1, 7))
-	f.Report(1, entry("t", 1, 9))
-	f.Report(2, entry("t", 1, 7))
+	f.Report(0, reportEvery, entry("t", 1, 7))
+	f.Report(1, reportEvery, entry("t", 1, 9))
+	f.Report(2, reportEvery, entry("t", 1, 7))
 	fk.Advance(1500 * time.Millisecond)
-	f.Report(0, entry("t", 1, 7))
-	f.Report(2, entry("t", 1, 7))
+	f.Report(0, reportEvery, entry("t", 1, 7))
+	f.Report(2, reportEvery, entry("t", 1, 7))
 	f.Step()
 
 	pm := f.PartMap()
@@ -153,12 +156,12 @@ func TestReportRewindVisibleToPromotion(t *testing.T) {
 
 	// Broker 0 once reported 9 (its un-acked tail as ex-leader), then
 	// demoted and rewound to 4; broker 2 genuinely replicated through 7.
-	f.Report(0, entry("t", 1, 9))
-	f.Report(1, entry("t", 1, 9)) // the leader, soon dead
-	f.Report(2, entry("t", 1, 7))
+	f.Report(0, reportEvery, entry("t", 1, 9))
+	f.Report(1, reportEvery, entry("t", 1, 9)) // the leader, soon dead
+	f.Report(2, reportEvery, entry("t", 1, 7))
 	fk.Advance(1500 * time.Millisecond)
-	f.Report(0, entry("t", 1, 4)) // post-demotion rewind
-	f.Report(2, entry("t", 1, 7))
+	f.Report(0, reportEvery, entry("t", 1, 4)) // post-demotion rewind
+	f.Report(2, reportEvery, entry("t", 1, 7))
 	f.Step()
 
 	pm := f.PartMap()
@@ -175,19 +178,19 @@ func TestRevivedReplicaGetsMapPushed(t *testing.T) {
 	nl := &notifyLog{}
 	f := newTestFailover(fk, 3, nl)
 
-	f.Report(0, entry("t", 1, 5))
-	f.Report(1, entry("t", 1, 9))
-	f.Report(2, entry("t", 1, 7))
+	f.Report(0, reportEvery, entry("t", 1, 5))
+	f.Report(1, reportEvery, entry("t", 1, 9))
+	f.Report(2, reportEvery, entry("t", 1, 7))
 	fk.Advance(1500 * time.Millisecond)
-	f.Report(0, entry("t", 1, 5))
-	f.Report(2, entry("t", 1, 7))
+	f.Report(0, reportEvery, entry("t", 1, 5))
+	f.Report(2, reportEvery, entry("t", 1, 7))
 	f.Step()
 	if _, ok := nl.version(1); ok {
 		t.Fatal("dead replica pushed before revival")
 	}
 
 	// Broker 1 restarts and reports; the next round pushes it v1.
-	f.Report(1, entry("t", 1, 9))
+	f.Report(1, reportEvery, entry("t", 1, 9))
 	f.Step()
 	if v, ok := nl.version(1); !ok || v != 1 {
 		t.Fatalf("revived replica not pushed the map (got %d, %v)", v, ok)

@@ -322,7 +322,9 @@ func (db *DB) Flush() error {
 
 	// Freeze: swap each shard's map into the frozen stage so entries stay
 	// readable while the run is written. Writes arriving afterwards land in
-	// the fresh shard maps, which shadow the frozen stage on reads.
+	// the fresh shard maps, which shadow the frozen stage on reads. Each map
+	// joins the frozen stage before its shard unlocks: a Get that misses
+	// the fresh map must find the entry there, never in neither place.
 	var frozenMaps []map[string]entry
 	var drained int64
 	var kvs []flushEntry
@@ -333,6 +335,9 @@ func (db *DB) Flush() error {
 			m := s.m
 			s.m = make(map[string]entry)
 			frozenMaps = append(frozenMaps, m)
+			db.frozenMu.Lock()
+			db.frozen = frozenMaps
+			db.frozenMu.Unlock()
 			for k, e := range m {
 				kvs = append(kvs, flushEntry{key: k, entry: e})
 				drained += int64(len(k) + len(e.value) + entryOverhead)
@@ -343,9 +348,6 @@ func (db *DB) Flush() error {
 	if len(kvs) == 0 {
 		return nil
 	}
-	db.frozenMu.Lock()
-	db.frozen = frozenMaps
-	db.frozenMu.Unlock()
 	sort.Slice(kvs, func(i, j int) bool { return kvs[i].key < kvs[j].key })
 
 	db.runMu.Lock()

@@ -15,6 +15,7 @@ func fullSnapshot() *WorkerSnapshot {
 		Seq:     42,
 		StartNS: 1_000_000_000,
 		NowNS:   9_000_000_000,
+		EveryNS: 5_000_000_000,
 		Partitions: []PartitionStats{
 			{Partition: 0, Served: 100, SampleHits: 90, SampleMisses: 10, Lag: 5, StalenessNS: 1200},
 			{Partition: 3, Served: 7, SampleHits: 0, SampleMisses: 7, Lag: 0, StalenessNS: 0},
@@ -37,7 +38,7 @@ func fullSnapshot() *WorkerSnapshot {
 func TestSnapshotRoundTrip(t *testing.T) {
 	for name, s := range map[string]*WorkerSnapshot{
 		"full":  fullSnapshot(),
-		"empty": {Name: "sampler-0", Kind: "sampler", Version: "dev", Seq: 1, StartNS: 5, NowNS: 6},
+		"empty": {Name: "sampler-0", Kind: "sampler", Version: "dev", Seq: 1, StartNS: 5, NowNS: 6, EveryNS: 250_000_000},
 	} {
 		w := codec.NewWriter(64)
 		s.Encode(w)
@@ -55,7 +56,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // each subsequent ascending ID costs one or two bytes, not a full
 // varint of its absolute value.
 func TestSnapshotPartitionDeltaCompact(t *testing.T) {
-	s := &WorkerSnapshot{Name: "w", Kind: "server", Version: "v", Seq: 1}
+	s := &WorkerSnapshot{Name: "w", Kind: "server", Version: "v", Seq: 1, EveryNS: 1}
 	for p := 1000; p < 1064; p++ {
 		s.Partitions = append(s.Partitions, PartitionStats{Partition: p, Served: 1})
 	}
@@ -80,7 +81,8 @@ func TestDecodeSnapshotTruncated(t *testing.T) {
 	w := codec.NewWriter(64)
 	fullSnapshot().Encode(w)
 	full := w.Bytes()
-	for _, cut := range []int{0, 1, len(full) / 2, len(full) - 1} {
+	// Every strict prefix, so a cut inside the cadence field is covered.
+	for cut := 0; cut < len(full); cut++ {
 		if _, err := DecodeSnapshot(full[:cut]); err == nil {
 			t.Fatalf("decode of %d/%d bytes succeeded", cut, len(full))
 		}
@@ -95,9 +97,25 @@ func TestDecodeSnapshotVersionMismatch(t *testing.T) {
 	w := codec.NewWriter(64)
 	fullSnapshot().Encode(w)
 	b := append([]byte(nil), w.Bytes()...)
-	b[0] = snapshotVersion + 1
-	if _, err := DecodeSnapshot(b); err == nil {
-		t.Fatal("decode of future version succeeded")
+	for _, v := range []byte{1, snapshotVersion + 1} { // pre-cadence and future
+		b[0] = v
+		if _, err := DecodeSnapshot(b); err == nil {
+			t.Fatalf("decode of version %d succeeded", v)
+		}
+	}
+}
+
+// A snapshot must declare a positive cadence: a zero or negative one could
+// never keep a lease alive.
+func TestDecodeSnapshotRejectsNonPositiveCadence(t *testing.T) {
+	for _, every := range []int64{0, -1} {
+		s := fullSnapshot()
+		s.EveryNS = every
+		w := codec.NewWriter(64)
+		s.Encode(w)
+		if _, err := DecodeSnapshot(w.Bytes()); err == nil {
+			t.Fatalf("decode with cadence %dns succeeded", every)
+		}
 	}
 }
 
@@ -112,6 +130,7 @@ func TestDecodeSnapshotHugeSliceBound(t *testing.T) {
 	w.Uvarint(1)
 	w.Varint(0)
 	w.Varint(0)
+	w.Varint(1)                     // cadence
 	w.Uvarint(maxSnapshotSlice + 1) // partition count
 	if _, err := DecodeSnapshot(w.Bytes()); err == nil {
 		t.Fatal("decode with oversized partition count succeeded")

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"helios/internal/actor"
-	"helios/internal/clock"
+	"helios/internal/coord"
 	"helios/internal/obs"
 )
 
@@ -21,20 +21,9 @@ const ewmaWarmup = 3
 
 // CollectorConfig configures the coordinator-side Collector.
 type CollectorConfig struct {
-	// Clock stamps receive times and drives staleness math; nil defaults
-	// to the wall clock.
-	Clock clock.Clock
-	// Interval is the expected telemetry cadence (the workers'
-	// -telemetry-every). Staleness and death thresholds default from it.
+	// Interval is the death-scan cadence (the broker's -telemetry-every).
 	// 0 defaults to 5s.
 	Interval time.Duration
-	// StaleAfter marks a worker stale when its last snapshot is older;
-	// 0 defaults to 3×Interval (the /cluster contract: frozen numbers are
-	// flagged, never silently served).
-	StaleAfter time.Duration
-	// DeadAfter declares a worker dead (and triggers a flight capture)
-	// when its last snapshot is older; 0 defaults to 3×StaleAfter.
-	DeadAfter time.Duration
 	// Registry receives the cluster gauges (cluster.partition_heat,
 	// cluster.skew_score, worker counts). May be nil.
 	Registry *obs.Registry
@@ -64,17 +53,8 @@ type CollectorConfig struct {
 }
 
 func (cfg *CollectorConfig) fill() {
-	if cfg.Clock == nil {
-		cfg.Clock = clock.Wall()
-	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Second
-	}
-	if cfg.StaleAfter <= 0 {
-		cfg.StaleAfter = 3 * cfg.Interval
-	}
-	if cfg.DeadAfter <= 0 {
-		cfg.DeadAfter = 3 * cfg.StaleAfter
 	}
 	if cfg.BurnMilli <= 0 {
 		cfg.BurnMilli = 2000
@@ -94,10 +74,8 @@ func (cfg *CollectorConfig) fill() {
 }
 
 type workerState struct {
-	last   *WorkerSnapshot
-	prev   *WorkerSnapshot
-	recvNS int64 // collector clock, last snapshot receive
-	dead   bool  // death already announced (capture-once latch)
+	last *WorkerSnapshot
+	prev *WorkerSnapshot
 }
 
 type partitionState struct {
@@ -139,29 +117,33 @@ func (ps *partitionState) observe(rate, alpha, zThreshold float64) {
 	ps.samples++
 }
 
-// Collector aggregates worker snapshots into the live cluster view. It
-// implements Sink, so in-process deployments hand it to Reporters
-// directly while multi-process ones front it with ServeRPC.
+// Collector aggregates worker snapshots into the live cluster view. Every
+// snapshot renews its sender's lease in the coordinator's lease table, and
+// the view's membership, liveness flags and worker gauges are read from
+// that table — the same one the failover controller reads. It implements
+// Sink, so in-process deployments hand it to Reporters directly while
+// multi-process ones front it with ServeRPC.
 type Collector struct {
-	cfg CollectorConfig
+	cfg    CollectorConfig
+	leases *coord.Coordinator
 
 	mu          sync.Mutex
 	workers     map[string]*workerState
 	parts       map[int]*partitionState
 	gaugeParts  map[int]bool // partitions with a registered heat gauge
 	history     []ClusterView
-	lastCapture map[string]int64 // trigger key -> collector-clock ns
+	lastCapture map[string]int64 // trigger key -> lease-clock ns
 
-	loop     *actor.Loop
-	loopOnce sync.Once
+	loop *actor.Loop
 }
 
-// NewCollector builds a collector and registers the cluster-level gauges
-// on cfg.Registry.
-func NewCollector(cfg CollectorConfig) *Collector {
+// NewCollector builds a collector over the coordinator's lease table and
+// registers the cluster-level gauges on cfg.Registry.
+func NewCollector(leases *coord.Coordinator, cfg CollectorConfig) *Collector {
 	cfg.fill()
 	c := &Collector{
 		cfg:         cfg,
+		leases:      leases,
 		workers:     make(map[string]*workerState),
 		parts:       make(map[int]*partitionState),
 		gaugeParts:  make(map[int]bool),
@@ -189,32 +171,30 @@ func NewCollector(cfg CollectorConfig) *Collector {
 	return c
 }
 
-// counts returns (total, stale, dead) worker counts. Stale excludes dead
-// workers so the two gauges partition the unhealthy set.
+// counts returns (total, stale, dead) lease counts. Stale excludes dead
+// holders so the two gauges partition the unhealthy set.
 func (c *Collector) counts() (total, stale, dead int64) {
-	nowNS := c.cfg.Clock.Now().UnixNano()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, ws := range c.workers {
+	for _, l := range c.leases.Leases() {
 		total++
-		age := nowNS - ws.recvNS
-		switch {
-		case ws.dead || age > c.cfg.DeadAfter.Nanoseconds():
+		switch l.Health {
+		case coord.Dead:
 			dead++
-		case age > c.cfg.StaleAfter.Nanoseconds():
+		case coord.Stale:
 			stale++
 		}
 	}
 	return total, stale, dead
 }
 
-// OnSnapshot folds one worker snapshot into the cluster state, updating
-// rate baselines and evaluating capture triggers. It implements Sink.
+// OnSnapshot renews the sender's lease and folds the snapshot into the
+// cluster state, updating rate baselines and evaluating capture triggers.
+// It implements Sink.
 func (c *Collector) OnSnapshot(snap *WorkerSnapshot) {
-	if snap == nil || snap.Name == "" {
+	if snap == nil || snap.Name == "" || snap.EveryNS <= 0 {
 		return
 	}
-	nowNS := c.cfg.Clock.Now().UnixNano()
+	c.leases.Renew(snap.Name, coord.WorkerKind(snap.Kind), time.Duration(snap.EveryNS))
+	nowNS := c.leases.Now().UnixNano()
 	var newParts []int
 	var captures []*Capture
 
@@ -224,8 +204,6 @@ func (c *Collector) OnSnapshot(snap *WorkerSnapshot) {
 		ws = &workerState{}
 		c.workers[snap.Name] = ws
 	}
-	wasDead := ws.dead || (ws.recvNS > 0 && nowNS-ws.recvNS > c.cfg.DeadAfter.Nanoseconds())
-	ws.dead = false
 	prev := ws.last
 	// A restart resets the worker's counters and sequence; differencing
 	// across it would produce negative rates, so drop the baseline and
@@ -235,7 +213,6 @@ func (c *Collector) OnSnapshot(snap *WorkerSnapshot) {
 	}
 	ws.prev = prev
 	ws.last = snap
-	ws.recvNS = nowNS
 
 	for i := range snap.Partitions {
 		p := &snap.Partitions[i]
@@ -281,9 +258,6 @@ func (c *Collector) OnSnapshot(snap *WorkerSnapshot) {
 	}
 	c.mu.Unlock()
 
-	if wasDead {
-		c.cfg.Logger.Info(0, "monitor.collector", "worker re-admitted", "worker", snap.Name)
-	}
 	c.registerPartitionGauges(newParts)
 	c.record(captures)
 }
@@ -419,32 +393,28 @@ func (c *Collector) record(captures []*Capture) {
 	}
 }
 
-// Tick scans for newly dead workers (capturing each death once) and
-// appends the current view to the capture-context history ring. The
-// background loop calls it every Interval; tests call it directly under
-// a fake clock.
+// Tick sweeps the lease table — capturing each death once and logging
+// each death and re-admission once — and appends the current view to the
+// capture-context history ring. The background loop calls it every
+// Interval; tests call it directly under a fake clock.
 func (c *Collector) Tick() {
-	nowNS := c.cfg.Clock.Now().UnixNano()
+	died, revived := c.leases.Sweep()
+	nowNS := c.leases.Now().UnixNano()
 	var captures []*Capture
-	var deaths []string
 
 	c.mu.Lock()
-	for name, ws := range c.workers {
-		if ws.dead || nowNS-ws.recvNS <= c.cfg.DeadAfter.Nanoseconds() {
+	for _, l := range died {
+		if !c.allowCaptureLocked("worker_death/"+l.Name, nowNS) {
 			continue
 		}
-		ws.dead = true
-		deaths = append(deaths, name)
-		if c.allowCaptureLocked("worker_death/"+name, nowNS) {
-			doc := c.captureLocked("worker_death", name, nowNS)
-			if ws.last != nil {
-				if len(ws.last.Worst) > 0 {
-					doc.WorstTrace = ws.last.Worst[0]
-				}
-				doc.SlowLines = ws.last.SlowLines
+		doc := c.captureLocked("worker_death", l.Name, nowNS)
+		if ws := c.workers[l.Name]; ws != nil && ws.last != nil {
+			if len(ws.last.Worst) > 0 {
+				doc.WorstTrace = ws.last.Worst[0]
 			}
-			captures = append(captures, doc)
+			doc.SlowLines = ws.last.SlowLines
 		}
+		captures = append(captures, doc)
 	}
 	c.history = append(c.history, c.viewLocked(nowNS))
 	if n := len(c.history) - c.cfg.History; n > 0 {
@@ -452,9 +422,12 @@ func (c *Collector) Tick() {
 	}
 	c.mu.Unlock()
 
-	for _, name := range deaths {
+	for _, l := range died {
 		c.cfg.Logger.Error(0, "monitor.collector", "worker dead",
-			"worker", name, "dead_after", c.cfg.DeadAfter)
+			"worker", l.Name, "every", l.Every, "age", l.Age)
+	}
+	for _, l := range revived {
+		c.cfg.Logger.Info(0, "monitor.collector", "worker re-admitted", "worker", l.Name)
 	}
 	c.record(captures)
 }
@@ -466,21 +439,16 @@ func (c *Collector) Start() {
 	if c.loop != nil {
 		return
 	}
-	interval := c.cfg.Interval
-	c.loop = actor.NewLoop(1, func(int) bool {
-		time.Sleep(interval)
-		c.Tick()
-		return true
-	})
+	c.loop = actor.Every(c.cfg.Interval, c.Tick)
 }
 
-// Stop halts the background loop.
+// Stop halts the background loop; no Tick runs after it returns.
 func (c *Collector) Stop() {
 	c.mu.Lock()
 	loop := c.loop
 	c.mu.Unlock()
 	if loop != nil {
-		c.loopOnce.Do(loop.Stop)
+		loop.Stop()
 	}
 }
 
@@ -493,7 +461,9 @@ type ClusterView struct {
 	Stages     []StageRollup   `json:"stages,omitempty"`
 }
 
-// WorkerView is one worker's liveness row.
+// WorkerView is one lease holder's liveness row. Holders that renew
+// through replication reports only (broker replicas of another process)
+// carry no telemetry fields.
 type WorkerView struct {
 	Name    string `json:"name"`
 	Kind    string `json:"kind"`
@@ -501,11 +471,13 @@ type WorkerView struct {
 	Seq     uint64 `json:"seq"`
 	// UptimeNS is the worker's self-reported uptime at its last snapshot.
 	UptimeNS int64 `json:"uptime_ns"`
-	// AgeNS is how long ago (collector clock) the last snapshot arrived.
-	AgeNS int64 `json:"age_ns"`
-	// Stale flags a worker whose last snapshot is older than StaleAfter —
-	// its numbers below are frozen, not current. Dead flags one past
-	// DeadAfter.
+	// AgeNS is how long ago (lease clock) the lease was last renewed, and
+	// EveryNS the cadence the holder declared.
+	AgeNS   int64 `json:"age_ns"`
+	EveryNS int64 `json:"every_ns"`
+	// Stale flags a holder past coord.StaleCadences missed cadences — its
+	// numbers below are frozen, not current. Dead flags one past
+	// coord.DeadCadences (and is then also Stale).
 	Stale bool `json:"stale"`
 	Dead  bool `json:"dead"`
 
@@ -549,31 +521,33 @@ type StageRollup struct {
 
 // View returns the current cluster view.
 func (c *Collector) View() ClusterView {
-	nowNS := c.cfg.Clock.Now().UnixNano()
+	nowNS := c.leases.Now().UnixNano()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.viewLocked(nowNS)
 }
 
 func (c *Collector) viewLocked(nowNS int64) ClusterView {
+	leases := c.leases.Leases()
 	v := ClusterView{
 		CapturedNS: nowNS,
 		SkewMilli:  c.skewMilliLocked(),
-		Workers:    make([]WorkerView, 0, len(c.workers)),
+		Workers:    make([]WorkerView, 0, len(leases)),
 		Partitions: make([]PartitionView, 0, len(c.parts)),
 	}
-	staleWorkers := make(map[string]bool, len(c.workers))
-	for name, ws := range c.workers {
-		age := nowNS - ws.recvNS
+	staleWorkers := make(map[string]bool, len(leases))
+	for _, l := range leases {
 		wv := WorkerView{
-			Name:  name,
-			AgeNS: age,
-			Stale: age > c.cfg.StaleAfter.Nanoseconds(),
-			Dead:  ws.dead || age > c.cfg.DeadAfter.Nanoseconds(),
+			Name:    l.Name,
+			Kind:    string(l.Kind),
+			AgeNS:   l.Age.Nanoseconds(),
+			EveryNS: l.Every.Nanoseconds(),
+			Stale:   l.Health != coord.Live,
+			Dead:    l.Health == coord.Dead,
 		}
-		staleWorkers[name] = wv.Stale || wv.Dead
-		if s := ws.last; s != nil {
-			wv.Kind = s.Kind
+		staleWorkers[l.Name] = wv.Stale
+		if ws := c.workers[l.Name]; ws != nil && ws.last != nil {
+			s := ws.last
 			wv.Version = s.Version
 			wv.Seq = s.Seq
 			wv.UptimeNS = s.NowNS - s.StartNS
@@ -584,7 +558,6 @@ func (c *Collector) viewLocked(nowNS int64) ClusterView {
 		}
 		v.Workers = append(v.Workers, wv)
 	}
-	sort.Slice(v.Workers, func(i, j int) bool { return v.Workers[i].Name < v.Workers[j].Name })
 
 	for p, ps := range c.parts {
 		v.Partitions = append(v.Partitions, PartitionView{

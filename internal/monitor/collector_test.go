@@ -7,12 +7,14 @@ import (
 	"time"
 
 	"helios/internal/clock"
+	"helios/internal/coord"
 	"helios/internal/obs"
 )
 
-// testCollector builds a fake-clock collector with a 1s interval (stale
-// at 3s, dead at 9s, capture cooldown 10s) and a flight ring in a temp
-// dir.
+// testCollector builds a collector over a fake-clock lease table with a
+// 1s interval (capture cooldown 10s) and a flight ring in a temp dir.
+// workerSnap declares a 1s cadence, so silent workers go stale at 3s and
+// dead at 6s.
 func testCollector(t *testing.T, reg *obs.Registry) (*Collector, *clock.Fake, *FlightRecorder) {
 	t.Helper()
 	clk := clock.NewFake()
@@ -20,8 +22,7 @@ func testCollector(t *testing.T, reg *obs.Registry) (*Collector, *clock.Fake, *F
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCollector(CollectorConfig{
-		Clock:    clk,
+	c := NewCollector(coord.New(nil).WithClock(clk), CollectorConfig{
 		Interval: time.Second,
 		Registry: reg,
 		Recorder: fr,
@@ -35,6 +36,7 @@ func workerSnap(name string, seq uint64, atSec int64, parts map[int]int64) *Work
 	s := &WorkerSnapshot{
 		Name: name, Kind: "server", Version: "test",
 		Seq: seq, StartNS: 1, NowNS: atSec * int64(time.Second),
+		EveryNS: int64(time.Second),
 	}
 	for p := 0; p < 64; p++ {
 		if served, ok := parts[p]; ok {
@@ -161,7 +163,7 @@ func TestCollectorStaleDeadAndReadmission(t *testing.T) {
 		t.Fatalf("gauges after 4s silence: stale=%d dead=%d", g["cluster.stale_workers"], g["cluster.dead_workers"])
 	}
 
-	// Past DeadAfter (9s): dead in the view even before the next Tick.
+	// Past 6 cadences: dead in the view even before the next Tick.
 	// server-0 keeps reporting so only the silent worker is flagged.
 	for round := int64(5); round <= 10; round++ {
 		clk.Advance(time.Second)

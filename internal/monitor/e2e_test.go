@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"helios/internal/clock"
+	"helios/internal/coord"
 	"helios/internal/deploy"
 	"helios/internal/faultpoint"
 	"helios/internal/frontend"
@@ -66,9 +67,9 @@ func TestClusterObservabilityEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Monitoring plane: fake clock, 1s interval (stale at 3s, dead at
-	// 9s), flight ring in a temp dir, cluster gauges on their own
-	// registry. The hour-long cooldown pins the capture count: exactly
+	// Monitoring plane: fake-clock lease table, 1s telemetry cadence
+	// (stale at 3s, dead at 6s), flight ring in a temp dir, cluster
+	// gauges on their own registry. The hour-long cooldown pins the capture count: exactly
 	// one burn capture and one death capture for the whole drill.
 	clkM := clock.NewFake()
 	flightDir := t.TempDir()
@@ -77,8 +78,7 @@ func TestClusterObservabilityEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	regM := obs.NewRegistry()
-	collector := monitor.NewCollector(monitor.CollectorConfig{
-		Clock:           clkM,
+	collector := monitor.NewCollector(coord.New(nil).WithClock(clkM), monitor.CollectorConfig{
 		Interval:        time.Second,
 		Registry:        regM,
 		Recorder:        recorder,
@@ -117,6 +117,7 @@ func TestClusterObservabilityEndToEnd(t *testing.T) {
 
 	var reporters []*monitor.Reporter // reported each round, in order
 	newReporter := func(rcfg monitor.ReporterConfig) *monitor.Reporter {
+		rcfg.Every = time.Second // one reporting round per clock advance
 		r := monitor.NewReporter(rcfg)
 		reporters = append(reporters, r)
 		return r
@@ -396,8 +397,8 @@ func TestClusterObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// Phase 4 — worker death: server-1 stops reporting. At 4 intervals
-	// of silence it shows stale; one interval past DeadAfter it shows
-	// dead, and the next Tick records the death capture.
+	// of silence it shows stale; past 6 it shows dead, and the next Tick
+	// records the death capture.
 	dead := serverReporter[1]
 	for i := 0; i < 4; i++ {
 		reportRound(dead)

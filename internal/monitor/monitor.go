@@ -11,7 +11,9 @@
 //     ships it over the existing broker RPC connection via the
 //     coord.telemetry method (rpc.go);
 //   - the coordinator side runs a Collector that folds snapshots into a
-//     live cluster view — per-worker liveness, a per-partition heat
+//     live cluster view — per-worker liveness read from the
+//     coordinator's lease table (each snapshot renews its sender's
+//     lease), a per-partition heat
 //     table with EWMA/z-score skew detection, and cluster-level stage
 //     rollups — served at GET /cluster and exported as
 //     cluster.partition_heat{partition=…} / cluster.skew_score gauges
@@ -23,7 +25,7 @@
 //
 // Snapshots use the codec varint wire format with delta-encoded
 // partition IDs: a snapshot for a 64-partition worker is a few hundred
-// bytes, cheap enough to piggyback at heartbeat cadence.
+// bytes, cheap enough to send at lease-renewal cadence.
 package monitor
 
 import (
@@ -32,8 +34,9 @@ import (
 	"helios/internal/codec"
 )
 
-// snapshotVersion versions the WorkerSnapshot wire encoding.
-const snapshotVersion = 1
+// snapshotVersion versions the WorkerSnapshot wire encoding. Version 2
+// added EveryNS.
+const snapshotVersion = 2
 
 // PartitionStats is the per-partition slice of one worker snapshot. All
 // counters are cumulative since process start; the Collector differences
@@ -99,6 +102,9 @@ type WorkerSnapshot struct {
 	StartNS int64 `json:"start_ns"`
 	// NowNS is the snapshot time (unix nanos, worker clock).
 	NowNS int64 `json:"now_ns"`
+	// EveryNS is the reporter's cadence. The snapshot renews the worker's
+	// lease, and the lease rule judges its silence in multiples of it.
+	EveryNS int64 `json:"every_ns"`
 
 	Partitions []PartitionStats `json:"partitions,omitempty"`
 	Stages     []StageP99       `json:"stages,omitempty"`
@@ -118,6 +124,7 @@ func (s *WorkerSnapshot) Encode(w *codec.Writer) {
 	w.Uvarint(s.Seq)
 	w.Varint(s.StartNS)
 	w.Varint(s.NowNS)
+	w.Varint(s.EveryNS)
 
 	w.Uvarint(uint64(len(s.Partitions)))
 	prev := 0
@@ -183,6 +190,10 @@ func DecodeSnapshot(b []byte) (*WorkerSnapshot, error) {
 		Seq:     r.Uvarint(),
 		StartNS: r.Varint(),
 		NowNS:   r.Varint(),
+		EveryNS: r.Varint(),
+	}
+	if err := r.Err(); err == nil && s.EveryNS <= 0 {
+		return nil, fmt.Errorf("monitor: snapshot cadence %dns", s.EveryNS)
 	}
 
 	n := int(r.Uvarint())

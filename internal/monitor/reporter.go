@@ -25,14 +25,14 @@ func (c *Collector) Report(s *WorkerSnapshot) error {
 
 // ReporterConfig configures a worker-side telemetry Reporter.
 type ReporterConfig struct {
-	// Name and Kind identify the worker in the cluster view (the same
-	// name the worker heartbeats under, e.g. "server-0").
+	// Name and Kind identify the worker's lease and its row in the
+	// cluster view (e.g. "server-0").
 	Name string
 	Kind string
 	// Version stamps snapshots; empty defaults to obs.Version().
 	Version string
-	// Every is the reporting cadence (the -telemetry-every flag). 0
-	// defaults to 5s.
+	// Every is the reporting cadence (the -telemetry-every flag), which
+	// every snapshot declares as its lease cadence. 0 defaults to 5s.
 	Every time.Duration
 	// Clock stamps snapshot times; nil defaults to the wall clock.
 	Clock clock.Clock
@@ -64,10 +64,9 @@ type Reporter struct {
 	cfg     ReporterConfig
 	startNS int64
 
-	mu       sync.Mutex
-	seq      uint64
-	loop     *actor.Loop
-	loopOnce sync.Once
+	mu   sync.Mutex
+	seq  uint64
+	loop *actor.Loop
 }
 
 // NewReporter builds a reporter. The process start time is taken from
@@ -105,6 +104,7 @@ func (r *Reporter) Snapshot() *WorkerSnapshot {
 		Seq:     seq,
 		StartNS: r.startNS,
 		NowNS:   r.cfg.Clock.Now().UnixNano(),
+		EveryNS: r.cfg.Every.Nanoseconds(),
 	}
 	if r.cfg.Partitions != nil {
 		s.Partitions = r.cfg.Partitions()
@@ -186,21 +186,18 @@ func (r *Reporter) Start() {
 	if r.loop != nil {
 		return
 	}
-	every := r.cfg.Every
-	r.loop = actor.NewLoop(1, func(int) bool {
-		time.Sleep(every)
+	r.loop = actor.Every(r.cfg.Every, func() {
 		//lint:allow droppederror reason=report failures are logged in ReportOnce and retried next interval
 		_ = r.ReportOnce()
-		return true
 	})
 }
 
-// Stop halts the reporting loop.
+// Stop halts the reporting loop; no report is sent after it returns.
 func (r *Reporter) Stop() {
 	r.mu.Lock()
 	loop := r.loop
 	r.mu.Unlock()
 	if loop != nil {
-		r.loopOnce.Do(loop.Stop)
+		loop.Stop()
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"helios/internal/clock"
+	"helios/internal/coord"
 	"helios/internal/obs"
 	"helios/internal/rpc"
 )
@@ -14,7 +15,7 @@ import (
 // over coord.telemetry to an rpc.Server, and the Collector's view
 // reflects it.
 func TestTelemetryOverRPC(t *testing.T) {
-	collector := NewCollector(CollectorConfig{Clock: clock.NewFake(), Interval: time.Second})
+	collector := NewCollector(coord.New(nil).WithClock(clock.NewFake()), CollectorConfig{Interval: time.Second})
 	srv := rpc.NewServer()
 	ServeRPC(collector, srv)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -90,7 +91,7 @@ func TestTelemetryOverRPC(t *testing.T) {
 // A corrupt frame must be rejected server-side without wedging the
 // connection for subsequent valid reports.
 func TestTelemetryRPCRejectsCorruptFrame(t *testing.T) {
-	collector := NewCollector(CollectorConfig{Clock: clock.NewFake(), Interval: time.Second})
+	collector := NewCollector(coord.New(nil).WithClock(clock.NewFake()), CollectorConfig{Interval: time.Second})
 	srv := rpc.NewServer()
 	ServeRPC(collector, srv)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -107,7 +108,7 @@ func TestTelemetryRPCRejectsCorruptFrame(t *testing.T) {
 	if _, err := cli.Call(MethodTelemetry, []byte{0xff, 0x01, 0x02}, time.Second); err == nil {
 		t.Fatal("corrupt telemetry frame accepted")
 	}
-	if err := NewClient(cli, 0).Report(&WorkerSnapshot{Name: "w", Kind: "server", Seq: 1}); err != nil {
+	if err := NewClient(cli, 0).Report(&WorkerSnapshot{Name: "w", Kind: "server", Seq: 1, EveryNS: int64(time.Second)}); err != nil {
 		t.Fatalf("valid report after corrupt frame: %v", err)
 	}
 	if v := collector.View(); len(v.Workers) != 1 {

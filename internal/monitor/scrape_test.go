@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"helios/internal/clock"
+	"helios/internal/coord"
 	"helios/internal/obs"
 )
 
@@ -28,8 +29,7 @@ func TestConcurrentScrapesUnderChurn(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(32, 4)
 	clk := clock.NewFake()
-	collector := NewCollector(CollectorConfig{
-		Clock:    clk,
+	collector := NewCollector(coord.New(nil).WithClock(clk), CollectorConfig{
 		Interval: time.Second,
 		Registry: reg,
 	})
@@ -74,8 +74,9 @@ func TestConcurrentScrapesUnderChurn(t *testing.T) {
 	}
 
 	// Churn: workers appear with fresh partitions (each one registers a
-	// heat gauge under the scrape), report, and go silent; the clock
-	// races past DeadAfter while Tick scans.
+	// heat gauge under the scrape), report, and go silent; each name
+	// renews every 4s on a declared 500ms cadence, so the clock races past
+	// the 3s dead threshold and back while Tick sweeps.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -84,7 +85,8 @@ func TestConcurrentScrapesUnderChurn(t *testing.T) {
 			collector.OnSnapshot(&WorkerSnapshot{
 				Name: name, Kind: "server", Version: "test",
 				Seq: uint64(round + 1), StartNS: 1,
-				NowNS: int64(round) * int64(time.Second),
+				NowNS:   int64(round) * int64(time.Second),
+				EveryNS: int64(500 * time.Millisecond),
 				Partitions: []PartitionStats{
 					{Partition: round % 8, Served: int64(100 * round)},
 					{Partition: 8 + round%4, Served: int64(10 * round)},

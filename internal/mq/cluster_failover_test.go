@@ -83,7 +83,6 @@ func TestClusterRidesOutLeaderFailover(t *testing.T) {
 	fo := coord.NewFailover(coord.FailoverConfig{
 		Coordinator: co,
 		Peers:       replicas,
-		DeadAfter:   time.Second,
 		Notify: func(peer int, pm mq.PartMap) error {
 			brokers[peer].ApplyPartMap(pm)
 			return nil
@@ -120,14 +119,14 @@ func TestClusterRidesOutLeaderFailover(t *testing.T) {
 
 	// Every replica reports once (the controller only fails over leaders
 	// it has seen alive), then the leader dies: endpoint closed, reports
-	// stop, survivors keep beating past the death threshold.
+	// stop, survivors keep reporting past the death threshold.
 	for i := range brokers {
-		fo.Report(i, brokers[i].ReplOffsets())
+		fo.Report(i, 250*time.Millisecond, brokers[i].ReplOffsets())
 	}
 	srvs[1].Close()
 	fk.Advance(2 * time.Second)
-	fo.Report(0, brokers[0].ReplOffsets())
-	fo.Report(2, brokers[2].ReplOffsets())
+	fo.Report(0, 250*time.Millisecond, brokers[0].ReplOffsets())
+	fo.Report(2, 250*time.Millisecond, brokers[2].ReplOffsets())
 	fo.Step()
 	pm := fo.PartMap()
 	if got := pm.Leader("t", 1, replicas); got == 1 {

@@ -75,7 +75,7 @@ const (
 	// MethodPartMap returns the coordinator's current partition map.
 	MethodPartMap = "coord.partmap"
 	// MethodReplStatus reports one broker's per-partition offsets to the
-	// coordinator (doubles as the broker's liveness beat).
+	// coordinator (and renews the broker's lease there).
 	MethodReplStatus = "coord.replstatus"
 )
 
@@ -113,10 +113,13 @@ func DecodePartMap(buf []byte) (PartMap, error) {
 	return pm, nil
 }
 
-// EncodeReplStatus serializes one broker's replication report.
-func EncodeReplStatus(peer int, entries []ReplEntry) []byte {
-	w := codec.NewWriter(16 + 24*len(entries))
+// EncodeReplStatus serializes one broker's replication report. every is
+// the reporter's cadence: the coordinator's lease rule judges the broker's
+// silence in multiples of it.
+func EncodeReplStatus(peer int, every time.Duration, entries []ReplEntry) []byte {
+	w := codec.NewWriter(24 + 24*len(entries))
 	w.Uvarint(uint64(peer))
+	w.Varint(int64(every))
 	w.Uvarint(uint64(len(entries)))
 	for _, e := range entries {
 		w.String(e.Topic)
@@ -126,16 +129,21 @@ func EncodeReplStatus(peer int, entries []ReplEntry) []byte {
 	return w.Bytes()
 }
 
-// DecodeReplStatus parses a replication report.
-func DecodeReplStatus(buf []byte) (peer int, entries []ReplEntry, err error) {
+// DecodeReplStatus parses a replication report. A report without a
+// positive cadence is malformed: it could never keep a lease alive.
+func DecodeReplStatus(buf []byte) (peer int, every time.Duration, entries []ReplEntry, err error) {
 	r := codec.NewReader(buf)
 	peer = int(r.Uvarint())
+	every = time.Duration(r.Varint())
 	n := int(r.Uvarint())
 	if err := r.Err(); err != nil {
-		return 0, nil, err
+		return 0, 0, nil, err
+	}
+	if every <= 0 {
+		return 0, 0, nil, fmt.Errorf("mq: replication report cadence %v", every)
 	}
 	if n > r.Remaining() {
-		return 0, nil, codec.ErrShortBuffer
+		return 0, 0, nil, codec.ErrShortBuffer
 	}
 	entries = make([]ReplEntry, 0, n)
 	for i := 0; i < n; i++ {
@@ -144,9 +152,9 @@ func DecodeReplStatus(buf []byte) (peer int, entries []ReplEntry, err error) {
 		})
 	}
 	if err := r.Finish(); err != nil {
-		return 0, nil, err
+		return 0, 0, nil, err
 	}
-	return peer, entries, nil
+	return peer, every, entries, nil
 }
 
 // FetchPartMap asks a coordinator endpoint for its current partition map.
@@ -165,9 +173,10 @@ func SendLead(c *rpc.Client, pm PartMap, timeout time.Duration) error {
 }
 
 // ReportReplStatus reports a broker's per-partition offsets to the
-// coordinator.
-func ReportReplStatus(c *rpc.Client, peer int, entries []ReplEntry, timeout time.Duration) error {
-	_, err := c.Call(MethodReplStatus, EncodeReplStatus(peer, entries), timeout)
+// coordinator, declaring that it reports every `every`. A report still
+// unanswered after one cadence is abandoned: the next one supersedes it.
+func ReportReplStatus(c *rpc.Client, peer int, every time.Duration, entries []ReplEntry) error {
+	_, err := c.Call(MethodReplStatus, EncodeReplStatus(peer, every, entries), every)
 	return err
 }
 

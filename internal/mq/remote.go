@@ -215,7 +215,7 @@ func DialBrokerOpts(addr string, timeout time.Duration, opts rpc.Options) (*Remo
 }
 
 // Client exposes the underlying RPC client so co-located services (the
-// coordinator heartbeat) can share the connection, and so callers can read
+// telemetry reporter) can share the connection, and so callers can read
 // its reconnect/retry counters.
 func (rb *RemoteBroker) Client() *rpc.Client { return rb.client }
 

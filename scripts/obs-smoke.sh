@@ -120,12 +120,14 @@ grep -q '"burn_rate"' "${log}.body" || {
   exit 1
 }
 
-# The federated cluster view: every worker in the deployment reports
-# telemetry, and the per-partition heat table is populated from it. The
-# demo workload can finish before the first telemetry tick fires, so
-# poll until federation converges (the demo lingers long enough).
+# The federated cluster view lists every lease holder: the workers from
+# their telemetry, the broker replicas from their replication reports —
+# one membership table, so none of them may be dead in a healthy demo.
+# The per-partition heat table is populated from telemetry. The demo
+# workload can finish before the first telemetry tick fires, so poll
+# until federation converges (the demo lingers long enough).
 cluster_ok() {
-  for worker in sampler-0 sampler-1 server-0 server-1 frontend-0; do
+  for worker in sampler-0 sampler-1 server-0 server-1 frontend-0 broker-0 broker-1 broker-2; do
     grep -q "\"$worker\"" "${log}.body" || return 1
   done
   grep -q '"heat_milli"' "${log}.body" || return 1
@@ -136,10 +138,15 @@ for _ in $(seq 1 150); do
   sleep 0.2
 done
 cluster_ok || {
-  echo "obs-smoke: /cluster never converged to all workers + heat table:" >&2
+  echo "obs-smoke: /cluster never converged to all workers, broker replicas + heat table:" >&2
   cat "${log}.body" >&2
   exit 1
 }
+if grep -q '"dead":true' "${log}.body"; then
+  echo "obs-smoke: /cluster shows a dead lease holder in a healthy demo:" >&2
+  cat "${log}.body" >&2
+  exit 1
+fi
 grep -q '"skew_milli"' "${log}.body" || {
   echo "obs-smoke: /cluster has no skew score" >&2
   exit 1
@@ -154,6 +161,12 @@ grep -q "cluster.partition_heat" "${log}.body" || {
 }
 grep -q "cluster.skew_score" "${log}.body" || {
   echo "obs-smoke: /metrics has no skew score gauge" >&2
+  exit 1
+}
+# The membership gauges read the same lease table as /cluster.
+grep -Eq '^cluster\.dead_workers 0$' "${log}.body" || {
+  echo "obs-smoke: /metrics does not report cluster.dead_workers 0:" >&2
+  grep "cluster\." "${log}.body" >&2 || true
   exit 1
 }
 
